@@ -18,7 +18,8 @@ fmt:
 # benchmark gate (fused single-pass analysis must never lose to
 # independent per-policy scans; flow-sensitive policies within budget
 # of the pattern scans; the DSL libc program within 1.5x of the native
-# module including interpreter overhead; domains=4 batch >= 1.8x
+# module including interpreter overhead; AES-CTR at least 0.25x
+# SHA-256 throughput on the same host; domains=4 batch >= 1.8x
 # faster than domains=1 wall-clock, skipped on machines with < 4
 # recommended domains; domains=2 never slower than domains=1, skipped
 # below 2; a mutually-attested fleet of two re-inspects a

@@ -1115,6 +1115,24 @@ let smoke () =
   check "warm restart skips >= 90% re-inspection"
     (cold_cycles > 0 && 10 * warm_cycles <= cold_cycles)
     (Printf.sprintf "cold %s warm %s cycles" (commas cold_cycles) (commas warm_cycles));
+  banner "bench-smoke: channel cipher keeps pace with the hash (AES-CTR >= 0.25x SHA-256)";
+  (* Both primitives on the same 1 MiB buffer on the same host, best of
+     three each, so the ratio survives a change of machine. *)
+  (let data = String.init (1 lsl 20) (fun i -> Char.chr (i land 0xff)) in
+   let key = Crypto.Aes.expand (String.make 32 'k') and nonce = String.make 16 'n' in
+   let mb_per_s f =
+     let best = ref infinity in
+     for _ = 1 to 3 do
+       let t0 = Unix.gettimeofday () in
+       ignore (Sys.opaque_identity (f data));
+       best := Float.min !best (Unix.gettimeofday () -. t0)
+     done;
+     1.0 /. !best
+   in
+   let aes = mb_per_s (Crypto.Aes.ctr ~key ~nonce) in
+   let sha = mb_per_s Crypto.Sha256.digest in
+   check "AES-CTR >= 0.25x SHA-256 throughput" (aes >= 0.25 *. sha)
+     (Printf.sprintf "aes-ctr %.1f MB/s sha-256 %.1f MB/s (%.2fx)" aes sha (aes /. sha)));
   banner "bench-smoke: streaming channel reaches the first policy event early (nginx)";
   (let payload = (Linker.link (Workloads.build Codegen.plain Workloads.Nginx)).Linker.elf in
    let _, legacy_ttfpe, legacy_e2e = channel_run ~channel:`Legacy payload in

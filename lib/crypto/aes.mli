@@ -6,7 +6,8 @@
     public key and then streams encrypted content). *)
 
 type key
-(** An expanded key schedule. Valid for both encryption and decryption. *)
+(** An expanded (encryption) key schedule. CTR mode only ever runs the
+    forward cipher, so no decryption schedule is kept. *)
 
 val expand : string -> key
 (** [expand raw] builds the schedule from a 16-byte (AES-128) or 32-byte
@@ -15,9 +16,6 @@ val expand : string -> key
 
 val encrypt_block : key -> string -> string
 (** Encrypt exactly one 16-byte block. *)
-
-val decrypt_block : key -> string -> string
-(** Decrypt exactly one 16-byte block. *)
 
 val ctr : key:key -> nonce:string -> string -> string
 (** [ctr ~key ~nonce data] en/decrypts [data] (any length) in CTR mode.

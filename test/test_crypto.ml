@@ -154,7 +154,7 @@ let hmac_verify_roundtrip () =
   Alcotest.(check bool) "rejects short tag" false (Hmac.verify ~key:"k" ~msg:"m" ~tag:"short")
 
 (* ------------------------------------------------------------------ *)
-(* AES: FIPS-197 appendix vectors + CTR involution                     *)
+(* AES: FIPS-197 appendix vectors, CTR involution, reference equality  *)
 (* ------------------------------------------------------------------ *)
 
 let of_hex s =
@@ -165,16 +165,15 @@ let aes128_fips197 () =
   let key = Aes.expand (of_hex "000102030405060708090a0b0c0d0e0f") in
   let ct = Aes.encrypt_block key (of_hex "00112233445566778899aabbccddeeff") in
   check_hex "aes128 encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" ct;
-  let pt = Aes.decrypt_block key ct in
-  check_hex "aes128 decrypt" "00112233445566778899aabbccddeeff" pt
+  let ref_key = Aes_ref.expand (of_hex "000102030405060708090a0b0c0d0e0f") in
+  check_hex "aes128 decrypt" "00112233445566778899aabbccddeeff" (Aes_ref.decrypt_block ref_key ct)
 
 let aes256_fips197 () =
-  let key =
-    Aes.expand (of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
-  in
-  let ct = Aes.encrypt_block key (of_hex "00112233445566778899aabbccddeeff") in
+  let raw = of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
+  let ct = Aes.encrypt_block (Aes.expand raw) (of_hex "00112233445566778899aabbccddeeff") in
   check_hex "aes256 encrypt" "8ea2b7ca516745bfeafc49904b496089" ct;
-  check_hex "aes256 decrypt" "00112233445566778899aabbccddeeff" (Aes.decrypt_block key ct)
+  check_hex "aes256 decrypt" "00112233445566778899aabbccddeeff"
+    (Aes_ref.decrypt_block (Aes_ref.expand raw) ct)
 
 let aes_sp80038a_ctr () =
   (* NIST SP 800-38A F.5.1: AES-128-CTR *)
@@ -212,6 +211,41 @@ let aes_bad_key_length () =
   Alcotest.check_raises "24-byte key rejected"
     (Invalid_argument "Aes.expand: key must be 16 or 32 bytes, got 24") (fun () ->
       ignore (Aes.expand (String.make 24 'x')))
+
+(* The table-driven cipher against the byte-oriented reference in
+   aes_ref.ml: 16- and 32-byte keys, stream offsets that are mostly not
+   block-aligned, and nonces whose trailing 0..8 bytes are 0xff so the
+   counter carries across bytes and, with all eight set, wraps. *)
+let gen_aes_key = QCheck.Gen.(oneofl [ 16; 32 ] >>= fun n -> string_size ~gen:char (return n))
+
+let gen_ctr_case =
+  QCheck.Gen.(
+    let* key = gen_aes_key in
+    let* ffs = int_range 0 8 in
+    let* prefix = string_size ~gen:char (return (16 - ffs)) in
+    let* offset = oneof [ int_range 0 5000; map (fun b -> 16 * b) (int_range 0 312) ] in
+    let* data = string_size ~gen:char (int_range 0 300) in
+    return (key, prefix ^ String.make ffs '\xff', offset, data))
+
+let prop_aes_ctr_matches_reference =
+  QCheck.Test.make ~name:"ctr_at = reference" ~count:500
+    (QCheck.make
+       ~print:(fun (key, nonce, offset, data) ->
+         Printf.sprintf "key %s nonce %s offset %d len %d" (Sha256.hex key)
+           (Sha256.hex nonce) offset (String.length data))
+       gen_ctr_case)
+    (fun (key, nonce, offset, data) ->
+      Aes.ctr_at ~key:(Aes.expand key) ~nonce ~offset data
+      = Aes_ref.ctr_at ~key:(Aes_ref.expand key) ~nonce ~offset data)
+
+let prop_aes_block_matches_reference =
+  QCheck.Test.make ~name:"encrypt_block = reference" ~count:500
+    (QCheck.make
+       ~print:(fun (key, block) -> Sha256.hex key ^ " " ^ Sha256.hex block)
+       QCheck.Gen.(pair gen_aes_key (string_size ~gen:char (return 16))))
+    (fun (key, block) ->
+      Aes.encrypt_block (Aes.expand key) block
+      = Aes_ref.encrypt_block (Aes_ref.expand key) block)
 
 (* ------------------------------------------------------------------ *)
 (* Bignum: unit + property tests                                       *)
@@ -515,7 +549,8 @@ let () =
           Alcotest.test_case "ctr involution" `Quick aes_ctr_involution;
           Alcotest.test_case "ctr_at offsets" `Quick aes_ctr_at_offset;
           Alcotest.test_case "bad key length" `Quick aes_bad_key_length;
-        ] );
+        ]
+        @ qsuite [ prop_aes_ctr_matches_reference; prop_aes_block_matches_reference ] );
       ( "bignum",
         [
           Alcotest.test_case "int roundtrip" `Quick bignum_small_roundtrip;

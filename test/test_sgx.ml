@@ -70,6 +70,24 @@ let epc_fresh_nonce_per_store () =
   let ct2 = Epc.raw_ciphertext epc slot in
   Alcotest.(check bool) "same plaintext, different ciphertext" true (ct1 <> ct2)
 
+(* The memory-bus view is the one production caller of AES-CTR outside
+   the channel: probing is a pure read, the nonce moves with every
+   store, and it is distinct per page. *)
+let epc_bus_probe () =
+  let epc = fresh_epc () in
+  let a = Epc.alloc epc and b = Epc.alloc epc in
+  let content = String.init page (fun i -> Char.chr ((i * 31) land 0xff)) in
+  Epc.store epc a content;
+  Epc.store epc b content;
+  let probe = Epc.raw_ciphertext epc a in
+  Alcotest.(check bool) "probe differs from plaintext" true (probe <> content);
+  Alcotest.(check string) "probing twice sees the same bytes" probe (Epc.raw_ciphertext epc a);
+  Alcotest.(check bool) "same content on two pages probes differently" true
+    (probe <> Epc.raw_ciphertext epc b);
+  Epc.store epc a content;
+  Alcotest.(check bool) "a later store changes the nonce" true
+    (probe <> Epc.raw_ciphertext epc a)
+
 (* ------------------------------------------------------------------ *)
 (* Enclave lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -309,6 +327,7 @@ let () =
           Alcotest.test_case "exhaustion" `Quick epc_exhaustion;
           Alcotest.test_case "release scrubs" `Quick epc_release_scrubs;
           Alcotest.test_case "fresh nonce per store" `Quick epc_fresh_nonce_per_store;
+          Alcotest.test_case "bus probe" `Quick epc_bus_probe;
         ] );
       ( "enclave",
         [
