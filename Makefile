@@ -1,6 +1,6 @@
 # Convenience entry points; dune is the real build system.
 
-.PHONY: all build test fmt check bench bench-smoke bench-json policy-oracle profile lint clean
+.PHONY: all build test fmt check bench bench-smoke bench-json policy-oracle profile lint loc clean
 
 all: build
 
@@ -72,6 +72,14 @@ lint:
 	dune exec bin/engarde_cli.exe -- lint --variant stack+ifcc \
 	  -b nginx -b 401.bzip2 -b graph-500 -b 429.mcf -b memcached \
 	  -b netperf -b otp-gen
+
+# Non-blank lines of OCaml (.ml and .mli) under each source tree: the
+# figure a change reports its net line count against.
+loc:
+	@for d in lib bin bench test; do \
+	  printf '%-6s %6d\n' "$$d/" \
+	    "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | grep -c -v '^[[:space:]]*$$')"; \
+	done
 
 clean:
 	dune clean

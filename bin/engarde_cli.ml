@@ -72,14 +72,15 @@ let libc_conv =
   Arg.conv (parse, print)
 
 (* The scheduler's registry is the single source of truth for which
-   policies are name-addressable: the flag's enum, the error text and
-   the service's admission control can never drift apart again.
+   policies are name-addressable and what runs for each name: the flag's
+   enum, the error text, the service's admission control and every
+   command that judges a binary can never drift apart again.
    (Policy_malware stays library-only — it needs a caller-supplied
    signature database, so there is no sensible name to register.) *)
 let reference_db = lazy (Toolchain.Libc.hash_db Toolchain.Libc.V1_0_5)
 
-let policies_of_names names =
-  match Service.Scheduler.policies_of_names ~db:(Lazy.force reference_db) names with
+let policies_of_names ?programs names =
+  match Service.Scheduler.policies_of_names ?programs ~db:(Lazy.force reference_db) names with
   | Ok ps -> ps
   | Error msg ->
       Printf.eprintf "engarde: %s\n" msg;
@@ -100,7 +101,8 @@ let policy_arg =
              (String.concat ", " Service.Scheduler.known_policies)))
 
 (* NAME=FILE (or bare FILE, named after its basename): a custom policy
-   program in canonical blob form, negotiated as data — no recompile. *)
+   program in canonical blob form, negotiated as data — no recompile.
+   Every command refuses a list the scheduler would refuse, up front. *)
 let policy_file_conv =
   let parse s =
     let name, path =
@@ -118,27 +120,24 @@ let policy_file_conv =
   Arg.conv (parse, print)
 
 let policy_file_arg =
-  Arg.(
-    value
-    & opt_all policy_file_conv []
-    & info [ "policy-file" ] ~docv:"NAME=FILE"
-        ~doc:
-          "Enforce the custom policy program in $(b,FILE) (canonical blob, see \
-           $(b,engarde policy compile)) under NAME. The program joins the \
-           negotiated set: its bytes are part of the measured policy-set \
-           digest. Repeatable.")
-
-(* Decode custom blobs into runnable policies, or die with the decoder's
-   reason — a blob the negotiation would reject should fail here too. *)
-let custom_policies files =
-  List.map
-    (fun (name, blob) ->
-      match Policyvm.Vm.of_blob blob with
-      | Ok p -> p
-      | Error e ->
-          Printf.eprintf "engarde: policy %s: %s\n" name e;
-          exit 2)
-    files
+  let checked files =
+    match Service.Scheduler.check_programs files with
+    | Ok () -> files
+    | Error msg ->
+        Printf.eprintf "engarde: %s\n" msg;
+        exit 2
+  in
+  Term.(
+    const checked
+    $ Arg.(
+        value
+        & opt_all policy_file_conv []
+        & info [ "policy-file" ] ~docv:"NAME=FILE"
+            ~doc:
+              "Enforce the custom policy program in $(b,FILE) (canonical blob, see \
+               $(b,engarde policy compile)) under NAME. The program joins the \
+               negotiated set: its bytes are part of the measured policy-set \
+               digest. Repeatable."))
 
 (* --- gen --- *)
 
@@ -238,7 +237,8 @@ let inspect_cmd =
             in
             let results =
               Engarde.Policy.run_all ctx
-                (policies_of_names policy_names @ custom_policies policy_files)
+                (policies_of_names ~programs:policy_files
+                   (policy_names @ List.map fst policy_files))
             in
             List.iter
               (fun (name, v) ->
@@ -647,7 +647,7 @@ let lint_cmd =
         (fun total (what, raw) ->
           let buffer, symbols = disasm_payload ~what raw in
           let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
-          match (Engarde.Policy_lint.make ()).Engarde.Policy.check ctx with
+          match (List.hd (policies_of_names [ "lint" ])).Engarde.Policy.check ctx with
           | Engarde.Policy.Compliant ->
               Printf.printf "%-14s clean\n" what;
               total
@@ -1480,18 +1480,23 @@ let audit_cmd =
    enclave or service. *)
 
 let policy_compile_cmd =
+  let programs =
+    List.filter_map
+      (function
+        | name, Service.Scheduler.Program prog -> Some (name, prog)
+        | _, Service.Scheduler.Native _ -> None)
+      Service.Scheduler.builtins
+  in
   let name_arg =
     Arg.(
       required
-      & pos 0
-          (some
-             (enum
-                (List.map (fun n -> (n, n)) [ "libc"; "stack"; "ifcc"; "lint"; "sanitize" ])))
-          None
+      & pos 0 (some (enum (List.map (fun (n, _) -> (n, n)) programs))) None
       & info [] ~docv:"NAME"
-          ~doc:"Builtin to compile: libc, stack, ifcc, lint or sanitize. (The \
-                *-pattern baselines and *-interproc depth variants have no DSL \
-                form; they negotiate as native markers.)")
+          ~doc:
+            (Printf.sprintf
+               "Builtin to compile: %s. (The other builtins have no DSL form; they \
+                negotiate as native markers.)"
+               (String.concat ", " (List.map fst programs))))
   in
   let output =
     Arg.(
@@ -1500,11 +1505,7 @@ let policy_compile_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output path (default: NAME.pvm).")
   in
   let run name output =
-    let prog =
-      List.assoc name
-        (Policyvm.Builtin.all ~db:(Lazy.force reference_db)
-           ~exempt:Toolchain.Libc.function_names)
-    in
+    let prog = (List.assoc name programs) ~db:(Lazy.force reference_db) in
     let blob = Policyvm.Encode.to_bytes prog in
     let output = match output with Some o -> o | None -> name ^ ".pvm" in
     write_file output blob;

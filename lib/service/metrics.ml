@@ -15,8 +15,8 @@ let latency_buckets =
   [| 1_000_000; 10_000_000; 100_000_000; 1_000_000_000; 10_000_000_000 |]
 
 (* Every counter is an [Atomic.t]: the registry is written from the
-   scheduler thread and read (rendered) from anywhere, and with the
-   parallel dispatch path pipelines may one day record directly. Atomics
+   scheduler thread and read (rendered) from anywhere, and pipelines
+   running on the pool may one day record directly. Atomics
    make each sample individually coherent; [render] is a point-in-time
    snapshot, not a transaction across samples — the usual Prometheus
    contract. *)

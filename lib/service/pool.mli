@@ -1,6 +1,6 @@
 (** Fixed-size domain pool: the true-parallelism substrate.
 
-    One pool, two consumers. The scheduler's parallel dispatch submits
+    One pool, two consumers. The scheduler (given a pool) submits
     whole provisioning pipelines ({!submit} / {!await}); the analysis
     layer's parallel function hashing fans a task list out with
     {!run_all}. Both ride the same [domains] workers — there is exactly
@@ -22,7 +22,7 @@
     section from outside) the calling thread claims — one CAS per
     cell — and runs any of them that no pool domain has picked up yet.
     Two consequences: a [run_all] issued from {e inside} a pool task
-    (the nested shape parallel hashing inside a dispatched pipeline
+    (the nested shape parallel hashing inside a pooled pipeline
     produces) can never deadlock the fixed-size pool, and an idle
     caller contributes a worker's worth of throughput instead of
     blocking. *)

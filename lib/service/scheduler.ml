@@ -33,14 +33,10 @@ type config = {
   backoff_ticks : int;
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
-  engine : [ `Vm | `Native ];
   programs : (string * string) list;
   provision : Engarde.Provision.config;
   fault : attempt:int -> job -> (Channel.Wire.t -> Channel.Wire.t) option;
-  dispatch :
-    (unit -> Engarde.Provision.outcome) -> unit -> Engarde.Provision.outcome;
-  hash_runner : Engarde.Analysis.hash_runner option;
-  pool_stats : (unit -> Pool.stats) option;
+  pool : Pool.t option;
   channel : Engarde.Provision.channel;
   ticket_epoch : int;
   ticket_capacity : int;
@@ -58,19 +54,12 @@ let default_config =
     backoff_ticks = 2;
     max_payload_bytes = Some (16 * 1024 * 1024);
     libc_db = Toolchain.Libc.V1_0_5;
-    engine = `Vm;
     programs = [];
     provision = Engarde.Provision.default_config;
     fault = (fun ~attempt:_ _ -> None);
-    (* Sequential: the pipeline runs at submission, the join is a
-       no-op. [parallel_config] swaps in a domain-pool dispatch with
-       the same two-phase shape. *)
-    dispatch =
-      (fun pipeline ->
-        let r = pipeline () in
-        fun () -> r);
-    hash_runner = None;
-    pool_stats = None;
+    (* Sequential: each attempt runs in place on the tick that starts
+       it. [parallel_config] supplies a domain pool. *)
+    pool = None;
     (* Legacy by default: existing deployments (and the fault-injection
        hooks, which pattern-match [Code_block]) see the paper-faithful
        wire format unless the provider opts into streaming. *)
@@ -78,13 +67,6 @@ let default_config =
     ticket_epoch = 0;
     ticket_capacity = 256;
   }
-
-(* The domain-pool dispatch: submit on the Run tick, block on the Join
-   tick. Pipelines for distinct jobs overlap on the pool's domains
-   while the scheduler keeps stepping its cooperative tick loop. *)
-let parallel_dispatch pool pipeline =
-  let fut = Pool.submit pool pipeline in
-  fun () -> Pool.await fut
 
 let parallel_config ?(config = default_config) ~domains () =
   let pool = Pool.create ~domains in
@@ -96,72 +78,81 @@ let parallel_config ?(config = default_config) ~domains () =
       (* Likewise at least one cache stripe per domain, so concurrent
          pipelines don't serialize on one shard lock. *)
       cache_shards = max config.cache_shards domains;
-      dispatch = parallel_dispatch pool;
-      hash_runner = Some (fun tasks -> Pool.run_all pool tasks);
-      pool_stats = Some (fun () -> Pool.stats pool);
+      pool = Some pool;
     },
     pool )
 
-let known_policies =
-  [
-    "libc"; "stack"; "ifcc"; "lint"; "sanitize";
-    "stack-pattern"; "ifcc-pattern";
-    "stack-interproc"; "ifcc-interproc";
-  ]
+type builtin =
+  | Program of (db:(string * string) list -> Policyvm.Prog.t)
+  | Native of (unit -> Engarde.Policy.t)
 
-let vm_builtins = [ "libc"; "stack"; "ifcc"; "lint"; "sanitize" ]
+let exempt = Toolchain.Libc.function_names
 
-(* Canonical blobs for the negotiated program set. The five flow
-   policies travel as real VM programs. The pattern-mode baselines have
-   no DSL transcription (their quadratic window scans are what the flow
+(* The one policy registry. The five flow policies are EGPVM1 programs:
+   their canonical blobs are negotiated and measured, and the VM runs
+   exactly those programs. The pattern-mode baselines have no DSL
+   transcription (their quadratic window scans are what the flow
    policies exist to replace), and the interprocedural depth variants
-   deliberately stay native on both engines until the call-graph fact
-   interface is stable enough to freeze into the wire format — so each
-   contributes an opaque native marker: the negotiated digest still
-   commits to their selection, and both engines execute them natively. *)
-let native_marker name = "EGNATIVE1\x00" ^ name
-
-let builtin_programs ~db =
-  Policyvm.Builtin.all ~db ~exempt:Toolchain.Libc.function_names
-
-let builtin_blobs ~db =
-  List.map (fun (n, p) -> (n, Policyvm.Encode.to_bytes p)) (builtin_programs ~db)
-  @ List.map
-      (fun n -> (n, native_marker n))
-      [ "stack-pattern"; "ifcc-pattern"; "stack-interproc"; "ifcc-interproc" ]
-
-let policies_of_names ~db names =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | "libc" :: rest -> go (Engarde.Policy_libc.make ~db () :: acc) rest
-    | "stack" :: rest ->
-        go (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names () :: acc) rest
-    | "ifcc" :: rest -> go (Engarde.Policy_ifcc.make () :: acc) rest
-    | "lint" :: rest -> go (Engarde.Policy_lint.make () :: acc) rest
-    | "sanitize" :: rest -> go (Engarde.Policy_sanitize.make () :: acc) rest
-    (* The interprocedural tier: dominance and masking proofs carried
-       across call edges through function summaries. *)
-    | "stack-interproc" :: rest ->
-        go
-          (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names
-             ~depth:`Interproc ()
-          :: acc)
-          rest
-    | "ifcc-interproc" :: rest ->
-        go (Engarde.Policy_ifcc.make ~depth:`Interproc () :: acc) rest
+   stay native until the call-graph fact interface is stable enough to
+   freeze into the wire format — so each negotiates as an opaque
+   EGNATIVE1 marker (the digest still commits to its selection) and
+   runs its native module. *)
+let builtins =
+  [
+    ("libc", Program (fun ~db -> Policyvm.Builtin.libc ~db));
+    ("stack", Program (fun ~db:_ -> Policyvm.Builtin.stack ~exempt));
+    ("ifcc", Program (fun ~db:_ -> Policyvm.Builtin.ifcc ()));
+    ("lint", Program (fun ~db:_ -> Policyvm.Builtin.lint ()));
+    ("sanitize", Program (fun ~db:_ -> Policyvm.Builtin.sanitize ()));
     (* The paper's peephole baselines, kept addressable so clients can
        request (and audit logs can distinguish) the unsound mode. *)
-    | "stack-pattern" :: rest ->
-        go
-          (Engarde.Policy_stack.make ~exempt:Toolchain.Libc.function_names
-             ~mode:`Pattern ()
-          :: acc)
-          rest
-    | "ifcc-pattern" :: rest -> go (Engarde.Policy_ifcc.make ~mode:`Pattern () :: acc) rest
-    | unknown :: _ ->
-        Error
-          (Printf.sprintf "unknown policy %S (expected one of: %s)" unknown
-             (String.concat ", " known_policies))
+    ("stack-pattern", Native (fun () -> Engarde.Policy_stack.make ~exempt ~mode:`Pattern ()));
+    ("ifcc-pattern", Native (fun () -> Engarde.Policy_ifcc.make ~mode:`Pattern ()));
+    (* The interprocedural tier: dominance and masking proofs carried
+       across call edges through function summaries. *)
+    ( "stack-interproc",
+      Native (fun () -> Engarde.Policy_stack.make ~exempt ~depth:`Interproc ()) );
+    ("ifcc-interproc", Native (fun () -> Engarde.Policy_ifcc.make ~depth:`Interproc ()));
+  ]
+
+let known_policies = List.map fst builtins
+
+let builtin_blob ~db name = function
+  | Program prog -> Policyvm.Encode.to_bytes (prog ~db)
+  | Native _ -> "EGNATIVE1\x00" ^ name
+
+let rec check_programs = function
+  | [] -> Ok ()
+  | (name, blob) :: rest -> (
+      if List.mem name known_policies then
+        Error (Printf.sprintf "program %S shadows a builtin policy" name)
+      else if List.mem_assoc name rest then
+        Error (Printf.sprintf "program %S is given twice" name)
+      else
+        match Policyvm.Encode.decode blob with
+        | Ok _ -> check_programs rest
+        | Error e -> Error (Printf.sprintf "program %S does not decode: %s" name e))
+
+(* The single name -> policy instantiation: builtin programs and custom
+   blobs on the VM, the markers' native modules. Only [name] is built. *)
+let resolve ~db ~programs name =
+  match (List.assoc_opt name builtins, List.assoc_opt name programs) with
+  | Some (Program prog), _ -> Ok (Policyvm.Vm.policy (prog ~db))
+  | Some (Native make), _ -> Ok (make ())
+  | None, Some blob ->
+      Result.map_error (Printf.sprintf "program %S: %s" name) (Policyvm.Vm.of_blob blob)
+  | None, None ->
+      Error
+        (Printf.sprintf "unknown policy %S (expected one of: %s)" name
+           (String.concat ", " (known_policies @ List.map fst programs)))
+
+let policies_of_names ?(programs = []) ~db names =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+        match resolve ~db ~programs name with
+        | Ok p -> go (p :: acc) rest
+        | Error e -> Error e)
   in
   go [] names
 
@@ -179,14 +170,13 @@ type worker_state =
   | Lookup of active
   | Run of active
   | Join of active * (unit -> Engarde.Provision.outcome)
-      (* attempt in flight on the dispatch substrate; the thunk blocks
+      (* attempt in flight (on the pool, if any); the thunk blocks
          until its outcome is ready *)
   | Backoff of active * int  (* ticks until retry *)
 
 type t = {
   cfg : config;
   db : (string * string) list lazy_t;  (* reference libc hash database *)
-  vm_progs : (string * Policyvm.Prog.t) list lazy_t;  (* builtin DSL programs *)
   blobs : (string * string) list lazy_t;  (* negotiable (name, blob) registry *)
   libc_db_version : string;
   queue : active Queue.t;
@@ -215,25 +205,17 @@ let create (cfg : config) =
     invalid_arg "Service.Scheduler.create: ticket_capacity must be positive";
   (* Custom programs are provider configuration, not client input:
      reject malformed ones loudly at service construction. *)
-  List.iter
-    (fun (name, blob) ->
-      if List.mem name known_policies then
-        invalid_arg
-          (Printf.sprintf "Service.Scheduler.create: program %S shadows a builtin policy"
-             name);
-      match Policyvm.Encode.decode blob with
-      | Ok _ -> ()
-      | Error e ->
-          invalid_arg
-            (Printf.sprintf "Service.Scheduler.create: program %S does not decode: %s" name
-               e))
-    cfg.programs;
+  Result.iter_error
+    (fun e -> invalid_arg ("Service.Scheduler.create: " ^ e))
+    (check_programs cfg.programs);
   let db = lazy (Toolchain.Libc.hash_db cfg.libc_db) in
   {
     cfg;
     db;
-    vm_progs = lazy (builtin_programs ~db:(Lazy.force db));
-    blobs = lazy (builtin_blobs ~db:(Lazy.force db) @ cfg.programs);
+    blobs =
+      lazy
+        (List.map (fun (n, b) -> (n, builtin_blob ~db:(Lazy.force db) n b)) builtins
+        @ cfg.programs);
     libc_db_version = Toolchain.Libc.version_to_string cfg.libc_db;
     queue = Queue.create ~capacity:cfg.queue_capacity;
     cache =
@@ -254,37 +236,20 @@ let metrics t = t.metrics
 
 (* The negotiated program set for a job: sorted-unique policy names,
    each paired with its canonical blob. Client and provider hash
-   exactly these bytes, and both engines execute exactly this set, so
-   one digest covers the agreement regardless of engine. *)
+   exactly these bytes, and [policy_for] runs exactly this set. *)
 let program_set t names =
   let blobs = Lazy.force t.blobs in
   List.map (fun n -> (n, List.assoc n blobs)) (List.sort_uniq compare names)
 
 let programs_digest t names = Channel.Session.policy_set_digest (program_set t names)
 
-let negotiable t = known_policies @ List.map fst t.cfg.programs
-
-(* One policy instance for one attempt. Builtins run as VM programs
-   under the [`Vm] engine and as native modules under [`Native] (the
-   differential oracle); the pattern-mode baselines are native under
-   both; custom programs always interpret. *)
+(* One fresh policy instance for one attempt. [create] validated the
+   custom programs, so resolution cannot fail here. *)
 let policy_for t name =
-  let native () =
-    match policies_of_names ~db:(Lazy.force t.db) [ name ] with
-    | Ok [ p ] -> p
-    | Ok _ | Error _ -> invalid_arg ("Service.Scheduler: unknown policy " ^ name)
-  in
-  match t.cfg.engine with
-  | `Vm when List.mem name vm_builtins ->
-      Policyvm.Vm.policy (List.assoc name (Lazy.force t.vm_progs))
-  | `Vm | `Native ->
-      if List.mem name known_policies then native ()
-      else begin
-        match Policyvm.Vm.of_blob (List.assoc name (Lazy.force t.blobs)) with
-        | Ok p -> p
-        | Error e ->
-            invalid_arg (Printf.sprintf "Service.Scheduler: program %S: %s" name e)
-      end
+  match resolve ~db:(Lazy.force t.db) ~programs:t.cfg.programs name with
+  | Ok p -> p
+  | Error e -> invalid_arg ("Service.Scheduler: " ^ e)
+
 let cache_stats t = Option.map Cache.stats t.cache
 let queue_stats t = Queue.stats t.queue
 let audit_log t = t.audit_log
@@ -390,7 +355,7 @@ let load_state t ~device blob =
           Ok (log_n, cache_n)
 
 let validate t job =
-  match List.find_opt (fun n -> not (List.mem n (negotiable t))) job.policy_names with
+  match List.find_opt (fun n -> not (List.mem_assoc n (Lazy.force t.blobs))) job.policy_names with
   | Some unknown -> Some (Printf.sprintf "unknown policy %S" unknown)
   | None -> (
       match t.cfg.max_payload_bytes with
@@ -536,7 +501,7 @@ let ticket_stash_size t = Hashtbl.length t.tickets
    the pipeline closure touches is prepared here, on the scheduler
    thread — the libc db is forced, the policy instances are fresh
    per-attempt — so the closure only reads immutable or private state
-   and is safe to run on any domain the dispatch picks. *)
+   and is safe to run on any pool domain. *)
 let start_attempt t ~worker a =
   a.attempts <- a.attempts + 1;
   let job = a.ajob in
@@ -550,7 +515,7 @@ let start_attempt t ~worker a =
     }
   in
   let tamper = t.cfg.fault ~attempt:a.attempts job in
-  let hash_runner = t.cfg.hash_runner in
+  let hash_runner = Option.map (fun pool -> Pool.run_all pool) t.cfg.pool in
   let channel = t.cfg.channel in
   let ticket_epoch = t.cfg.ticket_epoch in
   (* A stashed ticket turns this attempt into a 0-RTT resumption; a
@@ -560,10 +525,22 @@ let start_attempt t ~worker a =
     | `Legacy -> None
     | `Streaming -> ticket_find t (ticket_key t a)
   in
+  let run () =
+    Engarde.Provision.run ?tamper ?hash_runner ~policies ~programs ~channel ?resume
+      ~ticket_epoch provision_cfg ~payload:job.payload
+  in
+  (* Submit on the Run tick, await on the Join tick: pipelines of
+     distinct jobs overlap on the pool's domains while the tick loop
+     keeps stepping. Without a pool the attempt runs here and the join
+     returns at once — the same tick schedule either way. *)
   let join =
-    t.cfg.dispatch (fun () ->
-        Engarde.Provision.run ?tamper ?hash_runner ~policies ~programs ~channel ?resume
-          ~ticket_epoch provision_cfg ~payload:job.payload)
+    match t.cfg.pool with
+    | Some pool ->
+        let fut = Pool.submit pool run in
+        fun () -> Pool.await fut
+    | None ->
+        let outcome = run () in
+        fun () -> outcome
   in
   t.workers.(worker) <- Join (a, join)
 
@@ -674,7 +651,7 @@ let run_until_idle ?(max_ticks = 1_000_000) t =
 
 let report t =
   let shards = Option.map Cache.shard_stats t.cache in
-  let pool = Option.map (fun f -> f ()) t.cfg.pool_stats in
+  let pool = Option.map Pool.stats t.cfg.pool in
   Metrics.render ?shards ?pool t.metrics ~queue:(Queue.stats t.queue)
     ~cache:(cache_stats t)
 

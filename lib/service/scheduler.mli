@@ -7,10 +7,10 @@
     cooperative round-robin — each [tick] advances every active worker
     by one pipeline stage (dequeue, cache lookup, run, backoff), so a
     single giant binary cannot monopolize the service and interleaving
-    is deterministic. True parallelism slots in through the [dispatch]
-    hook: the scheduler submits the pipeline closure on one tick and
-    joins its outcome on the next, so with {!parallel_config} the
-    closures of distinct jobs overlap on a {!Pool} of domains while
+    is deterministic. True parallelism comes from the optional [pool]:
+    the scheduler submits an attempt's pipeline on one tick and awaits
+    its outcome on the next, so with {!parallel_config} the pipelines
+    of distinct jobs overlap on a {!Pool} of domains while
     admission, ordering, the cache, metrics and the audit log keep
     their sequential semantics — completions are re-sequenced by [seq],
     and modelled cycles (hence verdicts, retries and timeouts) do not
@@ -27,7 +27,9 @@
 type job = {
   client : string;            (** identity; reported back, not trusted *)
   payload : string;           (** the sealed ELF bytes *)
-  policy_names : string list; (** agreed policy set: libc | stack | ifcc *)
+  policy_names : string list;
+      (** agreed policy set: {!known_policies} names plus configured
+          custom programs *)
 }
 
 type failure =
@@ -68,20 +70,12 @@ type config = {
   max_payload_bytes : int option;
   libc_db : Toolchain.Libc.version;
       (** the provider's reference hash database — part of the cache key *)
-  engine : [ `Vm | `Native ];
-      (** how the five builtin flow policies execute: as negotiated VM
-          programs ([`Vm], the default) or as the native OCaml modules
-          ([`Native], the differential oracle). Pattern-mode baselines
-          and the interprocedural depth variants are native under both;
-          verdicts, findings and modelled policy cycles are identical
-          either way. *)
   programs : (string * string) list;
       (** additional negotiable policy programs, [(name, canonical
           blob)] — the point of the VM: a new check is service data,
-          not a recompile. Names must not shadow builtins and blobs
-          must decode ({!Engarde}-independent: {!create} raises
-          [Invalid_argument] otherwise). Custom programs always run on
-          the VM. *)
+          not a recompile. {!check_programs} must accept the list
+          ({!create} raises [Invalid_argument] with its reason
+          otherwise). Custom programs run on the VM. *)
   provision : Engarde.Provision.config;
       (** template; [policy_names] is overridden per job so the
           measurement binds each job's agreed policy set *)
@@ -89,23 +83,14 @@ type config = {
       (** adversary/chaos hook: a tamper function for this attempt, or
           [None] for a clean channel. Tests inject transient failures
           here. *)
-  dispatch :
-    (unit -> Engarde.Provision.outcome) -> unit -> Engarde.Provision.outcome;
-      (** the Domain-parallelism hook point, in two phases: the
-          scheduler calls [dispatch pipeline] when a worker starts an
-          attempt (submit) and the returned thunk one tick later
-          (join — may block until the outcome is ready). The default
-          runs the pipeline in place at submit time and joins
-          instantly; {!parallel_config} submits to a domain pool. *)
-  hash_runner : Engarde.Analysis.hash_runner option;
-      (** when set, passed to [Engarde.Provision.run] so each pipeline
-          prehashes its candidate function digests in parallel
-          (see {!Engarde.Analysis.prehash}); never changes verdicts or
-          modelled cycles *)
-  pool_stats : (unit -> Pool.stats) option;
-      (** when set (as {!parallel_config} does), {!report} samples it
-          and emits [pool_steals_total] / [pool_parks_total] — the
-          work-stealing pool's contention telemetry *)
+  pool : Pool.t option;
+      (** the domain pool attempts run on. [None] (the default) runs
+          each attempt in place on the tick that starts it. [Some pool]
+          submits it to the pool on that tick and awaits it on the
+          next, fans each pipeline's per-function hashing out through
+          [Pool.run_all] (see {!Engarde.Analysis.prehash}), and adds the
+          pool's [pool_steals_total] / [pool_parks_total] to {!report}.
+          Verdicts and modelled cycles are identical either way. *)
   channel : Engarde.Provision.channel;
       (** which transfer flavor jobs provision over. [`Legacy] (the
           default) keeps the paper-faithful block channel; [`Streaming]
@@ -126,46 +111,67 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, queue of 64, cache of 256 verdicts, audit off, no
-    timeout, 2 retries, clean channel, in-place dispatch, no hash
-    runner, libc-db v1.0.5, the [`Vm] engine with no custom programs,
-    the legacy channel at ticket epoch 0,
-    [Engarde.Provision.default_config]. *)
+(** 4 workers, queue of 64, cache of 256 verdicts in one stripe, audit
+    off, no timeout, 2 retries with a base backoff of 2 ticks, a 16 MiB
+    payload limit, libc-db v1.0.5, no custom programs,
+    [Engarde.Provision.default_config], a clean channel, no pool (every
+    attempt runs in place), the legacy channel at ticket epoch 0, and a
+    ticket stash of 256. *)
 
 val parallel_config : ?config:config -> domains:int -> unit -> config * Pool.t
-(** [config] (default {!default_config}) rewired for true parallelism:
-    [dispatch] submits every pipeline to a fresh [domains]-wide {!Pool},
-    [hash_runner] fans per-function hashing out over the same pool,
-    [workers] is raised to at least [domains] so in-flight slots never
-    bound the parallelism, and [cache_shards] to at least [domains] so
-    concurrent pipelines don't serialize on one stripe lock. The pool
-    is returned so the caller can {!Pool.shutdown} it when the
-    scheduler is done. Verdicts, cache statistics and the audit-log
-    root are identical to the sequential configuration on the same job
-    mix — wall-clock time is the only observable difference. *)
+(** [config] (default {!default_config}) with a fresh [domains]-wide
+    {!Pool} as its [pool], [workers] raised to at least [domains] so
+    in-flight slots never bound the parallelism, and [cache_shards] to
+    at least [domains] so concurrent pipelines don't serialize on one
+    stripe lock. The pool is returned so the caller can
+    {!Pool.shutdown} it when the scheduler is done. Verdicts, cache
+    statistics and the audit-log root are identical to the sequential
+    configuration on the same job mix — wall-clock time and the pool
+    telemetry in {!report} are the only observable differences. *)
+
+type builtin =
+  | Program of (db:(string * string) list -> Policyvm.Prog.t)
+      (** an EGPVM1 program, given the provider's libc hash database:
+          negotiated as its canonical blob and run on the VM *)
+  | Native of (unit -> Engarde.Policy.t)
+      (** negotiated as the opaque marker ["EGNATIVE1\000" ^ name] and
+          run as this native module *)
+
+val builtins : (string * builtin) list
+(** The one policy registry; every other list of policy names derives
+    from it. "libc", "stack", "ifcc", "lint" and "sanitize" are
+    programs. The paper-baseline "stack-pattern" / "ifcc-pattern"
+    peephole modes and the summary-driven "stack-interproc" /
+    "ifcc-interproc" depth variants are native markers: their
+    call-graph and pattern-mode facts are not yet part of the VM. *)
 
 val known_policies : string list
-(** The builtin policy names every scheduler accepts: "libc", "stack",
-    "ifcc", "lint", "sanitize", plus the paper-baseline
-    "stack-pattern" / "ifcc-pattern" peephole modes and the
-    summary-driven "stack-interproc" / "ifcc-interproc" depth variants
-    (native under both engines; their call-graph facts are not yet
-    frozen into the VM wire format). (The library also ships a
+(** The names of {!builtins}, in table order: what every scheduler
+    accepts without custom programs. (The library also ships a
     [Policy_malware] module, but it needs a caller-supplied signature
     database and is deliberately not name-addressable here.) *)
 
+val check_programs : (string * string) list -> (unit, string) result
+(** Validate custom [(name, blob)] programs: [Error] gives the reason
+    when a name shadows a builtin or repeats, or a blob does not
+    decode. *)
+
 val policies_of_names :
-  db:(string * string) list -> string list -> (Engarde.Policy.t list, string) result
-(** Instantiate native policy modules from their agreed names (the
-    {!known_policies} set); [Error] names the first unknown policy. *)
+  ?programs:(string * string) list ->
+  db:(string * string) list ->
+  string list ->
+  (Engarde.Policy.t list, string) result
+(** What the service runs for the agreed [names], one fresh instance
+    each: builtin and custom ([programs], default none) programs on the
+    VM, the native markers as their modules. [Error] names the first
+    policy that is unknown or whose blob does not decode. *)
 
 type t
 
 val program_set : t -> string list -> (string * string) list
 (** The negotiated program set for a policy-name list: sorted-unique
-    names paired with their canonical blobs (builtin DSL programs,
-    native markers for the pattern baselines, configured custom
-    programs). Raises [Not_found] on a name {!submit} would reject. *)
+    names paired with their canonical blobs (builtin programs, native
+    markers, configured custom programs). Raises [Not_found] on a name {!submit} would reject. *)
 
 val programs_digest : t -> string list -> string
 (** {!Channel.Session.policy_set_digest} of {!program_set} — what gets

@@ -1,8 +1,9 @@
 (* The negotiated policy VM: canonical codec round-trips, decoder
    fuzzing (mutated blobs must error or terminate within fuel, never
    crash or over-charge), and the differential guarantee — the five
-   builtin DSL programs reproduce the native modules' verdicts,
-   findings and modelled cycles bit for bit. *)
+   builtin DSL programs, and every policy the service resolves by
+   name, reproduce the native modules' verdicts, findings and modelled
+   cycles bit for bit. *)
 
 open Toolchain
 
@@ -37,30 +38,55 @@ let native_policies () =
     Engarde.Policy_sanitize.make ();
   ]
 
+(* The natives behind the four EGNATIVE1 markers, in registry order. *)
+let marker_policies () =
+  [
+    Engarde.Policy_stack.make ~exempt ~mode:`Pattern ();
+    Engarde.Policy_ifcc.make ~mode:`Pattern ();
+    Engarde.Policy_stack.make ~exempt ~depth:`Interproc ();
+    Engarde.Policy_ifcc.make ~depth:`Interproc ();
+  ]
+
 let vm_policies vm_perf =
   List.map (fun (_, p) -> Policyvm.Vm.policy ~vm_perf p) (Policyvm.Builtin.all ~db ~exempt)
 
 let show_verdict (name, v) = name ^ ": " ^ Engarde.Policy.verdict_to_string v
 
-(* Run the native modules and the DSL programs over two fresh contexts
-   of the same image and require identical results and identical
-   modelled cycles on every counter. *)
+(* Run the same image through three sides on fresh contexts — the nine
+   native constructors; the DSL programs followed by the marker
+   natives; and what the service resolves for every known policy name —
+   and require identical results and identical modelled cycles on every
+   counter. *)
 let check_differential what img =
-  let ctx_n, perf_n, cfg_n, an_n = context_of_image img in
-  let ctx_v, perf_v, cfg_v, an_v = context_of_image img in
-  let res_n = Engarde.Policy.run_all ctx_n (native_policies ()) in
+  let run policies =
+    let ctx, perf, cfg, an = context_of_image img in
+    (Engarde.Policy.run_all ctx policies, perf, cfg, an)
+  in
+  let native = run (native_policies () @ marker_policies ()) in
   let vm_perf = Sgx.Perf.create () in
-  let res_v = Engarde.Policy.run_all ctx_v (vm_policies vm_perf) in
-  if res_n <> res_v then begin
-    let dump res = String.concat "\n  " (List.map show_verdict res) in
-    Alcotest.failf "%s: verdicts differ\nnative:\n  %s\nvm:\n  %s" what (dump res_n)
-      (dump res_v)
-  end;
-  let pair p = (Sgx.Perf.native_cycles p, Sgx.Perf.sgx_instructions p) in
-  Alcotest.(check (pair int int))
-    (what ^ ": policy cycles") (pair perf_n) (pair perf_v);
-  Alcotest.(check (pair int int)) (what ^ ": cfg cycles") (pair cfg_n) (pair cfg_v);
-  Alcotest.(check (pair int int)) (what ^ ": analysis cycles") (pair an_n) (pair an_v);
+  let vm = run (vm_policies vm_perf @ marker_policies ()) in
+  let service =
+    match Service.Scheduler.policies_of_names ~db Service.Scheduler.known_policies with
+    | Ok ps -> run ps
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let same side (res_n, perf_n, cfg_n, an_n) (res_s, perf_s, cfg_s, an_s) =
+    if res_n <> res_s then begin
+      let dump res = String.concat "\n  " (List.map show_verdict res) in
+      Alcotest.failf "%s: verdicts differ\nnative:\n  %s\n%s:\n  %s" what (dump res_n) side
+        (dump res_s)
+    end;
+    let pair p = (Sgx.Perf.native_cycles p, Sgx.Perf.sgx_instructions p) in
+    let check counter a b =
+      Alcotest.(check (pair int int)) (Printf.sprintf "%s: %s %s cycles" what side counter)
+        (pair a) (pair b)
+    in
+    check "policy" perf_n perf_s;
+    check "cfg" cfg_n cfg_s;
+    check "analysis" an_n an_s
+  in
+  same "vm" native vm;
+  same "service" native service;
   Alcotest.(check bool)
     (what ^ ": vm overhead metered") true
     (Sgx.Perf.native_cycles vm_perf > 0)

@@ -654,6 +654,26 @@ let metrics_report_renders () =
       "queue_capacity 16";
     ]
 
+(* The pool's contention counters ride on the config's [pool]: a
+   parallel scheduler's report carries them, a sequential one has no
+   pool to sample and omits them. *)
+let report_pool_telemetry () =
+  let report cfg =
+    let t = Service.Scheduler.create cfg in
+    ignore (Result.get_ok (Service.Scheduler.submit t (job (Lazy.force mcf_plain))));
+    ignore (Service.Scheduler.run_until_idle t);
+    Service.Scheduler.report t
+  in
+  let has report frag = Astring.String.is_infix ~affix:frag report in
+  let sequential = report (service_config ~workers:1 ()) in
+  let cfg, pool = Service.Scheduler.parallel_config ~config:(service_config ()) ~domains:2 () in
+  let parallel = Fun.protect ~finally:(fun () -> Service.Pool.shutdown pool) (fun () -> report cfg) in
+  List.iter
+    (fun frag ->
+      Alcotest.(check bool) ("parallel report has " ^ frag) true (has parallel frag);
+      Alcotest.(check bool) ("sequential report omits " ^ frag) false (has sequential frag))
+    [ "pool_steals_total"; "pool_parks_total" ]
+
 let () =
   Alcotest.run "service"
     [
@@ -685,5 +705,8 @@ let () =
       ( "serve",
         [ Alcotest.test_case "multiplexed verdicts" `Quick serve_multiplexed ] );
       ( "metrics",
-        [ Alcotest.test_case "report renders" `Quick metrics_report_renders ] );
+        [
+          Alcotest.test_case "report renders" `Quick metrics_report_renders;
+          Alcotest.test_case "pool telemetry only with a pool" `Quick report_pool_telemetry;
+        ] );
     ]
