@@ -211,23 +211,25 @@ let figure_table ~title ~inst_config ~policies ~paper =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Context builder shared by ablations and microbenchmarks: everything
-   up to the phase under study, without the enclave protocol. *)
-let context_of bench inst_config =
-  let b = Workloads.build inst_config bench in
-  let img = Linker.link b in
-  let elf = Result.get_ok (Elf64.Reader.parse img.Linker.elf) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  (text.Elf64.Reader.data, text.Elf64.Reader.addr, elf.Elf64.Reader.symbols)
+let image_of bench inst_config = Linker.link (Workloads.build inst_config bench)
 
-let make_ctx ?alloc ?analysis_perf (code, base, symbols) =
-  let perf = Sgx.Perf.create () in
-  match Engarde.Disasm.run ?alloc perf ~code ~base ~symbols with
-  | Ok (buffer, symhash) ->
-      (* Index-build cycles land on the context's policy counter unless
-         a separate [analysis_perf] hives them off. *)
-      (Engarde.Policy.context ?analysis_perf ~perf:(Sgx.Perf.create ()) buffer symhash, perf)
-  | Error v -> failwith (X86.Nacl.violation_to_string v)
+(* Context builder shared by ablations and microbenchmarks: everything
+   up to the phase under study, judged by the enclave's own front half
+   (no policies, no enclave protocol) on a fresh report. *)
+let make_ctx (img : Linker.image) =
+  let report = Engarde.Report.create () in
+  match Engarde.Provision.judge report ~policies:[] img.Linker.elf with
+  | Ok j -> (j.Engarde.Provision.ctx, report)
+  | Error r -> failwith (Engarde.Provision.rejection_to_string r)
+
+(* The policy phase a report charged: the paper's "Policy Checking"
+   column (index build, CFG recovery, interprocedural tier, visitors),
+   or without the index build — shared infrastructure identical on both
+   sides of a comparison — when [index] is false. *)
+let policy_phase ?(index = true) report =
+  let r = Engarde.Report.row ~benchmark:"" report in
+  if index then r.Engarde.Report.policy_cycles
+  else r.Engarde.Report.policy_cycles - r.Engarde.Report.analysis_cycles
 
 let expect_compliant ?bench (p : Engarde.Policy.t) ctx =
   match p.Engarde.Policy.check ctx with
@@ -241,10 +243,15 @@ let ablation_malloc () =
   Printf.printf "%-11s %16s %16s %8s\n" "Benchmark" "page-alloc" "per-record" "saving";
   List.iter
     (fun bench ->
-      let pre = context_of bench Codegen.plain in
-      let _, perf_page = make_ctx ~alloc:`Page pre in
-      let _, perf_rec = make_ctx ~alloc:`Record pre in
-      let p = Sgx.Perf.total_cycles perf_page and r = Sgx.Perf.total_cycles perf_rec in
+      let img = image_of bench Codegen.plain in
+      let disasm alloc =
+        let perf = Sgx.Perf.create () in
+        ignore
+          (Engarde.Disasm.run ~alloc perf ~code:img.Linker.text ~base:img.Linker.text_addr
+             ~symbols:img.Linker.symbols);
+        Sgx.Perf.total_cycles perf
+      in
+      let p = disasm `Page and r = disasm `Record in
       Printf.printf "%-11s %16s %16s %7.1f%%\n" (Workloads.to_string bench) (commas p)
         (commas r)
         (100. *. (1. -. (float_of_int p /. float_of_int r))))
@@ -255,15 +262,15 @@ let ablation_memoized_hashing () =
   Printf.printf "%-11s %16s %16s %8s\n" "Benchmark" "paper policy" "memoized" "speedup";
   List.iter
     (fun bench ->
-      let pre = context_of bench Codegen.plain in
+      let pre = image_of bench Codegen.plain in
       let run ~memoize =
         (* The index is shared infrastructure and identical on both
            sides; keep it off the compared number so the ratio isolates
            the hashing strategy. *)
-        let ctx, _ = make_ctx ~analysis_perf:(Sgx.Perf.create ()) pre in
+        let ctx, report = make_ctx pre in
         let p = Engarde.Policy_libc.make ~memoize ~db:(Lazy.force libc_db) () in
         expect_compliant p ctx;
-        Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+        policy_phase ~index:false report
       in
       let plain = run ~memoize:false and memo = run ~memoize:true in
       Printf.printf "%-11s %16s %16s %7.1fx\n" (Workloads.to_string bench) (commas plain)
@@ -279,7 +286,7 @@ let ablation_combined_policies () =
     (fun bench ->
       (* The combined build carries canaries AND IFCC; all three
          policies must hold on it at once. *)
-      let pre = context_of bench both in
+      let pre = image_of bench both in
       let policies () =
         [
           Engarde.Policy_libc.make ~db:(Lazy.force libc_db) ();
@@ -290,16 +297,15 @@ let ablation_combined_policies () =
       let separate =
         List.fold_left
           (fun acc p ->
-            let ctx, disasm_perf = make_ctx pre in
+            let ctx, report = make_ctx pre in
             expect_compliant ~bench:(Workloads.to_string bench) p ctx;
-            acc + Sgx.Perf.total_cycles disasm_perf
-            + Sgx.Perf.total_cycles ctx.Engarde.Policy.perf)
+            acc + Sgx.Perf.total_cycles report.Engarde.Report.disassembly + policy_phase report)
           0 (policies ())
       in
       let combined =
-        let ctx, disasm_perf = make_ctx pre in
+        let ctx, report = make_ctx pre in
         List.iter (fun p -> expect_compliant p ctx) (policies ());
-        Sgx.Perf.total_cycles disasm_perf + Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+        Sgx.Perf.total_cycles report.Engarde.Report.disassembly + policy_phase report
       in
       Printf.printf "%-11s %16s %16s %7.1f%%\n" (Workloads.to_string bench) (commas separate)
         (commas combined)
@@ -322,15 +328,15 @@ let fused_vs_independent ?(policies = default_policy_set) pre =
   let independent =
     List.fold_left
       (fun acc p ->
-        let ctx, _ = make_ctx pre in
+        let ctx, report = make_ctx pre in
         expect_compliant p ctx;
-        acc + Sgx.Perf.total_cycles ctx.Engarde.Policy.perf)
+        acc + policy_phase report)
       0 (policies ~memoize:false)
   in
   let fused =
-    let ctx, _ = make_ctx pre in
+    let ctx, report = make_ctx pre in
     List.iter (fun p -> expect_compliant p ctx) (policies ~memoize:true);
-    Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+    policy_phase report
   in
   (independent, fused)
 
@@ -340,13 +346,13 @@ let both_variants = { Codegen.stack_protector = true; ifcc = true }
 (* Flow-sensitive policies vs the paper's window scans                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Policy-phase cycles for one module on a fresh context; CFG recovery
-   and dataflow are charged to the same counter (make_ctx passes no
-   separate cfg_perf), so the flow column carries its full cost. *)
+(* Policy-phase cycles for one module on a fresh context, index build
+   aside; CFG recovery, dataflow and the interprocedural tier count, so
+   the flow column carries its full cost. *)
 let policy_cycles pre p =
-  let ctx, _ = make_ctx ~analysis_perf:(Sgx.Perf.create ()) pre in
+  let ctx, report = make_ctx pre in
   expect_compliant p ctx;
-  Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+  policy_phase ~index:false report
 
 let stack_mode mode = Engarde.Policy_stack.make ~exempt:Libc.function_names ~mode ()
 let ifcc_mode mode = Engarde.Policy_ifcc.make ~mode ()
@@ -359,8 +365,8 @@ let flow_vs_pattern () =
     "stack-flow" "x" "ifcc-pattern" "ifcc-flow" "x";
   List.iter
     (fun bench ->
-      let pre_stack = context_of bench Codegen.with_stack_protector in
-      let pre_ifcc = context_of bench Codegen.with_ifcc in
+      let pre_stack = image_of bench Codegen.with_stack_protector in
+      let pre_ifcc = image_of bench Codegen.with_ifcc in
       let sp = policy_cycles pre_stack (stack_mode `Pattern) in
       let sf = policy_cycles pre_stack (stack_mode `Flow) in
       let ip = policy_cycles pre_ifcc (ifcc_mode `Pattern) in
@@ -400,8 +406,8 @@ let interproc_table () =
     "stack-interp" "x" "ifcc-intra" "ifcc-interp" "x";
   List.map
     (fun bench ->
-      let pre_stack = context_of bench Codegen.with_stack_protector in
-      let pre_ifcc = context_of bench Codegen.with_ifcc in
+      let pre_stack = image_of bench Codegen.with_stack_protector in
+      let pre_ifcc = image_of bench Codegen.with_ifcc in
       let si = policy_cycles pre_stack (stack_depth `Intra) in
       let sx = policy_cycles pre_stack (stack_depth `Interproc) in
       let ii = policy_cycles pre_ifcc (ifcc_depth `Intra) in
@@ -426,7 +432,7 @@ let ablation_fused_scan () =
   Printf.printf "%-11s %16s %16s %8s\n" "Benchmark" "independent" "fused" "speedup";
   List.iter
     (fun bench ->
-      let independent, fused = fused_vs_independent (context_of bench both_variants) in
+      let independent, fused = fused_vs_independent (image_of bench both_variants) in
       Printf.printf "%-11s %16s %16s %7.1fx\n" (Workloads.to_string bench)
         (commas independent) (commas fused)
         (float_of_int independent /. float_of_int fused))
@@ -906,10 +912,6 @@ let vm_oracle_policies vm_perf =
     (fun (_, p) -> Policyvm.Vm.policy ~vm_perf p)
     (Policyvm.Builtin.all ~db:(Lazy.force libc_db) ~exempt:Libc.function_names)
 
-let oracle_ctx pre =
-  let ctx, _ = make_ctx ~analysis_perf:(Sgx.Perf.create ()) pre in
-  ctx
-
 let policy_oracle () =
   banner
     "policy-oracle: DSL builtins vs native modules — verdicts, findings and \
@@ -917,22 +919,24 @@ let policy_oracle () =
   Printf.printf "%-22s %16s %16s %7s  %s\n" "workload" "modelled cycles" "vm overhead"
     "ratio" "verdict";
   let failures = ref 0 in
-  let compare_engines label pre =
-    let ctx_n = oracle_ctx pre in
-    let res_n = Engarde.Policy.run_all ctx_n (native_oracle_policies ()) in
-    let ctx_v = oracle_ctx pre in
-    let vm_perf = Sgx.Perf.create () in
-    let res_v = Engarde.Policy.run_all ctx_v (vm_oracle_policies vm_perf) in
-    let cycles p = (Sgx.Perf.native_cycles p, Sgx.Perf.sgx_instructions p) in
-    let native_c = cycles ctx_n.Engarde.Policy.perf in
-    let ok =
-      res_n = res_v
-      && native_c = cycles ctx_v.Engarde.Policy.perf
-      && cycles ctx_n.Engarde.Policy.cfg_perf = cycles ctx_v.Engarde.Policy.cfg_perf
+  let compare_engines label img =
+    (* Every policy-phase stream but the index build, which is the same
+       code under both engines. *)
+    let run policies =
+      let ctx, report = make_ctx img in
+      let res = Engarde.Policy.run_all ctx policies in
+      ( res,
+        List.map
+          (fun p -> (Sgx.Perf.native_cycles p, Sgx.Perf.sgx_instructions p))
+          Engarde.Report.[ report.policy; report.cfg; report.callgraph; report.summary ] )
     in
+    let res_n, cycles_n = run (native_oracle_policies ()) in
+    let vm_perf = Sgx.Perf.create () in
+    let res_v, cycles_v = run (vm_oracle_policies vm_perf) in
+    let ok = res_n = res_v && cycles_n = cycles_v in
     if not ok then incr failures;
     let overhead = Sgx.Perf.total_cycles vm_perf in
-    let modelled = fst native_c in
+    let modelled = List.fold_left (fun acc (n, _) -> acc + n) 0 cycles_n in
     Printf.printf "%-22s %16s %16s %6.2fx  %s\n" label (commas modelled)
       (commas overhead)
       (float_of_int (modelled + overhead) /. float_of_int (max 1 modelled))
@@ -943,16 +947,13 @@ let policy_oracle () =
   in
   List.iter
     (fun bench ->
-      compare_engines (Workloads.to_string bench) (context_of bench both_variants))
+      compare_engines (Workloads.to_string bench) (image_of bench both_variants))
     Workloads.all;
   List.iter
     (fun adv ->
-      let img = Linker.link_adversarial adv in
-      let elf = Result.get_ok (Elf64.Reader.parse img.Linker.elf) in
-      let text = List.hd (Elf64.Reader.text_sections elf) in
       compare_engines
         ("adv/" ^ Workloads.adversarial_to_string adv)
-        (text.Elf64.Reader.data, text.Elf64.Reader.addr, elf.Elf64.Reader.symbols))
+        (Linker.link_adversarial adv))
     Workloads.adversarial_all;
   if !failures > 0 then begin
     Printf.printf "policy-oracle: %d workload(s) FAILED the differential\n" !failures;
@@ -980,7 +981,7 @@ let smoke () =
   (* Full three-policy set: fused must never lose. *)
   List.iter
     (fun bench ->
-      let independent, fused = fused_vs_independent (context_of bench both_variants) in
+      let independent, fused = fused_vs_independent (image_of bench both_variants) in
       row (Workloads.to_string bench ^ " (all policies)") ~want_2x:false independent fused)
     [ Workloads.Mcf; Workloads.Bzip2 ];
   (* Library-linking policy on the duplicate-call-heavy workload: hash
@@ -988,7 +989,7 @@ let smoke () =
      over the paper's hash-at-every-call-site structure. *)
   let libc_only ~memoize = [ Engarde.Policy_libc.make ~memoize ~db:(Lazy.force libc_db) () ] in
   let independent, fused =
-    fused_vs_independent ~policies:libc_only (context_of Workloads.Mcf Codegen.plain)
+    fused_vs_independent ~policies:libc_only (image_of Workloads.Mcf Codegen.plain)
   in
   row "429.mcf (library-linking)" ~want_2x:true independent fused;
   banner "bench-smoke: audit-log proofs stay logarithmic; warm restart amortizes";
@@ -1001,7 +1002,7 @@ let smoke () =
      the sound check must cost at most 3x the paper's window scan. *)
   List.iter
     (fun bench ->
-      let pre = context_of bench Codegen.with_ifcc in
+      let pre = image_of bench Codegen.with_ifcc in
       let pat = policy_cycles pre (ifcc_mode `Pattern) in
       let flow = policy_cycles pre (ifcc_mode `Flow) in
       check
@@ -1011,7 +1012,7 @@ let smoke () =
     [ Workloads.Otpgen; Workloads.Netperf ];
   (* And dominance checking beats the quadratic epilogue re-scan on the
      few-huge-functions workload it was built to expose. *)
-  (let pre = context_of Workloads.Bzip2 Codegen.with_stack_protector in
+  (let pre = image_of Workloads.Bzip2 Codegen.with_stack_protector in
    let pat = policy_cycles pre (stack_mode `Pattern) in
    let flow = policy_cycles pre (stack_mode `Flow) in
    check "401.bzip2: flow stack beats quadratic scan" (flow < pat)
@@ -1019,56 +1020,39 @@ let smoke () =
   banner
     "bench-smoke: summary memoization makes the second interprocedural pass cheap \
      (giant-16 call chain)";
-  (let img = Linker.link_adversarial (Workloads.Giant 16) in
-   let elf = Result.get_ok (Elf64.Reader.parse img.Linker.elf) in
-   let text = List.hd (Elf64.Reader.text_sections elf) in
-   match
-     Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-       ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-   with
-   | Error v -> check "giant-16 disassembles" false (X86.Nacl.violation_to_string v)
-   | Ok (buffer, symbols) ->
-       let summary_perf = Sgx.Perf.create () in
-       let ctx =
-         Engarde.Policy.context ~analysis_perf:(Sgx.Perf.create ())
-           ~cfg_perf:(Sgx.Perf.create ()) ~callgraph_perf:(Sgx.Perf.create ())
-           ~summary_perf ~perf:(Sgx.Perf.create ()) buffer symbols
-       in
-       let interproc_policies () =
-         [
-           Engarde.Policy_sanitize.make ();
-           stack_depth `Interproc;
-           ifcc_depth `Interproc;
-         ]
-       in
-       let pass () =
-         let before = Sgx.Perf.total_cycles summary_perf in
-         let res = Engarde.Policy.run_all ctx (interproc_policies ()) in
-         (res, Sgx.Perf.total_cycles summary_perf - before)
-       in
-       let res1, first = pass () in
-       let res2, second = pass () in
-       check "giant-16: repeated interprocedural pass is deterministic" (res1 = res2) "";
-       check "giant-16: 2nd interprocedural pass >= 2x cheaper (summaries memoized)"
-         (second > 0 && first >= 2 * second)
-         (Printf.sprintf "summary cycles %s -> %s (%.1fx)" (commas first) (commas second)
-            (float_of_int first /. float_of_int (max 1 second))));
+  (let ctx, report = make_ctx (Linker.link_adversarial (Workloads.Giant 16)) in
+   let summary_perf = report.Engarde.Report.summary in
+   let interproc_policies () =
+     [ Engarde.Policy_sanitize.make (); stack_depth `Interproc; ifcc_depth `Interproc ]
+   in
+   let pass () =
+     let before = Sgx.Perf.total_cycles summary_perf in
+     let res = Engarde.Policy.run_all ctx (interproc_policies ()) in
+     (res, Sgx.Perf.total_cycles summary_perf - before)
+   in
+   let res1, first = pass () in
+   let res2, second = pass () in
+   check "giant-16: repeated interprocedural pass is deterministic" (res1 = res2) "";
+   check "giant-16: 2nd interprocedural pass >= 2x cheaper (summaries memoized)"
+     (second > 0 && first >= 2 * second)
+     (Printf.sprintf "summary cycles %s -> %s (%.1fx)" (commas first) (commas second)
+        (float_of_int first /. float_of_int (max 1 second))));
   banner "bench-smoke: policy-VM interpretation gate (DSL libc <= 1.5x native)";
   (* The negotiated DSL program charges the same modelled cycles as the
      native module by construction; the interpreter's own overhead is
      metered separately and must stay within half the modelled cost. *)
-  (let pre = context_of Workloads.Mcf Codegen.plain in
+  (let pre = image_of Workloads.Mcf Codegen.plain in
    let native =
-     let ctx = oracle_ctx pre in
+     let ctx, report = make_ctx pre in
      expect_compliant (Engarde.Policy_libc.make ~db:(Lazy.force libc_db) ()) ctx;
-     Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+     policy_phase ~index:false report
    in
    let vm_perf = Sgx.Perf.create () in
    let vm =
-     let ctx = oracle_ctx pre in
+     let ctx, report = make_ctx pre in
      let prog = Policyvm.Builtin.libc ~db:(Lazy.force libc_db) in
      expect_compliant (Policyvm.Vm.policy ~vm_perf prog) ctx;
-     Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+     policy_phase ~index:false report
    in
    let overhead = Sgx.Perf.total_cycles vm_perf in
    check "DSL libc: modelled cycles identical to native" (vm = native)
@@ -1308,23 +1292,22 @@ let service_throughput () =
 let bechamel_suite () =
   banner "Bechamel microbenchmarks (wall-clock, one Test.make per table/figure)";
   let open Bechamel in
-  let pre = context_of Workloads.Mcf Codegen.plain in
-  let pre_stack = context_of Workloads.Mcf Codegen.with_stack_protector in
-  let pre_ifcc = context_of Workloads.Otpgen Codegen.with_ifcc in
-  let mcf_elf = (Linker.link (Workloads.build Codegen.plain Workloads.Mcf)).Linker.elf in
+  let pre = image_of Workloads.Mcf Codegen.plain in
+  let pre_stack = image_of Workloads.Mcf Codegen.with_stack_protector in
+  let pre_ifcc = image_of Workloads.Otpgen Codegen.with_ifcc in
   let ctx_plain, _ = make_ctx pre in
   let ctx_stack, _ = make_ctx pre_stack in
   let ctx_ifcc, _ = make_ctx pre_ifcc in
+  let code, base, symbols = (pre.Linker.text, pre.Linker.text_addr, pre.Linker.symbols) in
   let policy_libc = Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () in
   let policy_stack = Engarde.Policy_stack.make ~exempt:Libc.function_names () in
   let policy_ifcc = Engarde.Policy_ifcc.make () in
-  let code, base, symbols = pre in
   let tests =
     [
       (* Figure 2's subject is EnGarde's own code: the closest runnable
          proxy is the ELF front end every provisioning run executes. *)
       Test.make ~name:"fig2:elf-validate (429.mcf)"
-        (Staged.stage (fun () -> ignore (Elf64.Reader.parse mcf_elf)));
+        (Staged.stage (fun () -> ignore (Elf64.Reader.parse pre.Linker.elf)));
       Test.make ~name:"fig3/4/5:disassembly (429.mcf)"
         (Staged.stage (fun () ->
              ignore (Engarde.Disasm.run (Sgx.Perf.create ()) ~code ~base ~symbols)));

@@ -197,74 +197,60 @@ let legacy_channel_arg =
            EGREC1 streaming record layer (no pipelined inspection, no 0-RTT resumption). \
            Verdicts and modelled cycles are identical on both channels.")
 
+(* --- judging: the enclave's own bytes-to-verdict path, statically --- *)
+
+(* Every command that judges a binary goes through [Provision.judge], so
+   it reports what the enclave would decide on those bytes. A rejection
+   before the policy verdicts ends the command with the text
+   [provision] prints. *)
+let rejected ?(label = "") r =
+  Printf.printf "%srejected: %s\n" label (Engarde.Provision.rejection_to_string r);
+  exit 1
+
+let verdicts ?label ~policies report raw =
+  match Engarde.Provision.judge report ~policies raw with
+  | Ok j -> j.Engarde.Provision.results
+  | Error (Engarde.Provision.Policy_violations results) -> results
+  | Error r -> rejected ?label r
+
+let context report raw =
+  match Engarde.Provision.judge report ~policies:[] raw with
+  | Ok j -> j.Engarde.Provision.ctx
+  | Error r -> rejected r
+
+let print_findings fs =
+  List.iter (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f)) fs
+
+let print_results results =
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
+      | Engarde.Policy.Violations fs ->
+          Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
+          print_findings fs)
+    results
+
 let inspect_cmd =
   let run path policy_names policy_files =
-    let raw = read_file path in
-    match Elf64.Reader.parse raw with
-    | Error e ->
-        Printf.printf "REJECT (header): %s\n" (Elf64.Reader.error_to_string e);
-        exit 1
-    | Ok elf -> (
-        (match Engarde.Loader.check_page_separation elf with
-        | Ok () -> ()
-        | Error e ->
-            Printf.printf "REJECT (pages): %s\n" (Engarde.Loader.error_to_string e);
-            exit 1);
-        if Elf64.Reader.function_symbols elf = [] then begin
-          Printf.printf "REJECT: stripped binary (no symbol table)\n";
-          exit 1
-        end;
-        let text = List.hd (Elf64.Reader.text_sections elf) in
-        let perf = Sgx.Perf.create () in
-        match
-          Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-            ~symbols:elf.Elf64.Reader.symbols
-        with
-        | Error v ->
-            Printf.printf "REJECT (disassembly): %s\n" (X86.Nacl.violation_to_string v);
-            exit 1
-        | Ok (buffer, symbols) ->
-            Printf.printf "disassembled %d instructions (%d modelled cycles)\n"
-              (Array.length buffer.Engarde.Disasm.entries)
-              (Sgx.Perf.total_cycles perf);
-            let analysis_perf = Sgx.Perf.create () in
-            let cfg_perf = Sgx.Perf.create () in
-            let callgraph_perf = Sgx.Perf.create () in
-            let summary_perf = Sgx.Perf.create () in
-            let ctx =
-              Engarde.Policy.context ~analysis_perf ~cfg_perf ~callgraph_perf
-                ~summary_perf ~perf:(Sgx.Perf.create ()) buffer symbols
-            in
-            let results =
-              Engarde.Policy.run_all ctx
-                (policies_of_names ~programs:policy_files
-                   (policy_names @ List.map fst policy_files))
-            in
-            List.iter
-              (fun (name, v) ->
-                (match v with
-                | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
-                | Engarde.Policy.Violations fs ->
-                    Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
-                    List.iter
-                      (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-                      fs))
-              results;
-            Printf.printf "analysis index: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles analysis_perf);
-            Printf.printf "cfg recovery: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles cfg_perf);
-            Printf.printf "callgraph construction: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles callgraph_perf);
-            Printf.printf "function summaries: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles summary_perf);
-            Printf.printf "policy checking: %d modelled cycles\n"
-              (Sgx.Perf.total_cycles analysis_perf
-              + Sgx.Perf.total_cycles cfg_perf
-              + Sgx.Perf.total_cycles callgraph_perf
-              + Sgx.Perf.total_cycles summary_perf
-              + Sgx.Perf.total_cycles ctx.Engarde.Policy.perf);
-            if not (Engarde.Policy.all_compliant results) then exit 1)
+    let report = Engarde.Report.create () in
+    let results =
+      verdicts
+        ~policies:
+          (policies_of_names ~programs:policy_files (policy_names @ List.map fst policy_files))
+        report (read_file path)
+    in
+    let row = Engarde.Report.row ~benchmark:path report in
+    Printf.printf "disassembled %d instructions (%d modelled cycles)\n"
+      row.Engarde.Report.n_instructions row.Engarde.Report.disassembly_cycles;
+    print_results results;
+    Printf.printf "analysis index: %d modelled cycles\n" row.Engarde.Report.analysis_cycles;
+    Printf.printf "cfg recovery: %d modelled cycles\n" row.Engarde.Report.cfg_cycles;
+    Printf.printf "callgraph construction: %d modelled cycles\n"
+      row.Engarde.Report.callgraph_cycles;
+    Printf.printf "function summaries: %d modelled cycles\n" row.Engarde.Report.summary_cycles;
+    Printf.printf "policy checking: %d modelled cycles\n" row.Engarde.Report.policy_cycles;
+    if not (Engarde.Policy.all_compliant results) then exit 1
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -272,6 +258,14 @@ let inspect_cmd =
     Term.(const run $ elf_arg $ policy_arg $ policy_file_arg)
 
 (* --- provision --- *)
+
+(* The program set a client offers for [policy_names] and the enclave
+   template measured with its policy-set digest: the same pair every
+   service attempt provisions with. *)
+let negotiated provision policy_names =
+  Service.Scheduler.negotiated
+    (Service.Scheduler.create { Service.Scheduler.default_config with Service.Scheduler.provision })
+    policy_names
 
 let provision_cmd =
   let heap =
@@ -286,17 +280,15 @@ let provision_cmd =
   in
   let run path policy_names heap rsa legacy =
     let payload = read_file path in
-    let config =
-      {
-        Engarde.Provision.default_config with
-        Engarde.Provision.heap_pages = heap;
-        rsa_bits = rsa;
-        policy_names;
-      }
+    let programs, config =
+      negotiated
+        { Engarde.Provision.default_config with Engarde.Provision.heap_pages = heap; rsa_bits = rsa }
+        policy_names
     in
     let channel = if legacy then `Legacy else `Streaming in
     let o =
-      Engarde.Provision.run ~policies:(policies_of_names policy_names) ~channel config ~payload
+      Engarde.Provision.run ~policies:(policies_of_names policy_names) ~programs ~channel config
+        ~payload
     in
     Printf.printf "enclave measurement: %s\n"
       (Crypto.Sha256.hex o.Engarde.Provision.measurement);
@@ -368,8 +360,7 @@ let rewrite_cmd =
 
 let measure_cmd =
   let run policy_names =
-    let config =
-      { Engarde.Provision.default_config with Engarde.Provision.policy_names } in
+    let _, config = negotiated Engarde.Provision.default_config policy_names in
     Printf.printf "%s\n" (Crypto.Sha256.hex (Engarde.Provision.expected_measurement config))
   in
   Cmd.v
@@ -381,27 +372,6 @@ let measure_cmd =
 
 (* --- cfg + lint: the flow-sensitive surface --- *)
 
-let disasm_payload ~what raw =
-  match Elf64.Reader.parse raw with
-  | Error e ->
-      Printf.eprintf "engarde: %s: %s\n" what (Elf64.Reader.error_to_string e);
-      exit 1
-  | Ok elf -> (
-      match Elf64.Reader.text_sections elf with
-      | [] ->
-          Printf.eprintf "engarde: %s: no text section\n" what;
-          exit 1
-      | text :: _ -> (
-          match
-            Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-              ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-          with
-          | Error v ->
-              Printf.eprintf "engarde: %s: disassembly: %s\n" what
-                (X86.Nacl.violation_to_string v);
-              exit 1
-          | Ok (buffer, symbols) -> (buffer, symbols)))
-
 (* (label, elf bytes) for every --elf file and synthesized --bench *)
 let payload_sources elfs benches variant =
   List.map (fun path -> (Filename.basename path, read_file path)) elfs
@@ -410,6 +380,17 @@ let payload_sources elfs benches variant =
         let img = Toolchain.Linker.link (Toolchain.Workloads.build variant b) in
         (Toolchain.Workloads.to_string b, img.Toolchain.Linker.elf))
       benches
+
+(* (label, elf bytes) for exactly one of a positional ELF or --bench *)
+let single_source ~cmd elf_pos bench variant =
+  match (elf_pos, bench) with
+  | Some path, None -> (Filename.basename path, read_file path)
+  | None, Some b ->
+      ( Toolchain.Workloads.to_string b,
+        (Toolchain.Linker.link (Toolchain.Workloads.build variant b)).Toolchain.Linker.elf )
+  | _ ->
+      Printf.eprintf "%s: pass exactly one of ELF or --bench\n" cmd;
+      exit 2
 
 let variant_arg =
   Arg.(
@@ -451,19 +432,9 @@ let cfg_cmd =
           ~doc:"Write the Graphviz DOT of the selected function's CFG (needs --function).")
   in
   let run elf_pos bench variant fn_filter dot_out =
-    let what, raw =
-      match (elf_pos, bench) with
-      | Some path, None -> (Filename.basename path, read_file path)
-      | None, Some b ->
-          ( Toolchain.Workloads.to_string b,
-            (Toolchain.Linker.link (Toolchain.Workloads.build variant b)).Toolchain.Linker.elf )
-      | _ ->
-          prerr_endline "cfg: pass exactly one of ELF or --bench";
-          exit 2
-    in
-    let buffer, symbols = disasm_payload ~what raw in
-    let cfg_perf = Sgx.Perf.create () in
-    let ctx = Engarde.Policy.context ~cfg_perf ~perf:(Sgx.Perf.create ()) buffer symbols in
+    let what, raw = single_source ~cmd:"cfg" elf_pos bench variant in
+    let report = Engarde.Report.create () in
+    let ctx = context report raw in
     let idx = ctx.Engarde.Policy.index in
     let funcs =
       let all = Array.to_list idx.Engarde.Analysis.functions in
@@ -498,7 +469,8 @@ let cfg_cmd =
               (Array.length cfg.Engarde.Cfg.blocks)
               cfg.Engarde.Cfg.n_edges unreachable)
       funcs;
-    Printf.printf "\ncfg recovery: %d modelled cycles\n" (Sgx.Perf.total_cycles cfg_perf);
+    Printf.printf "\ncfg recovery: %d modelled cycles\n"
+      (Sgx.Perf.total_cycles report.Engarde.Report.cfg);
     match dot_out with
     | None -> ()
     | Some path -> (
@@ -506,7 +478,7 @@ let cfg_cmd =
         | Some _, [ f ] -> (
             match Engarde.Policy.cfg_of ctx f with
             | Some cfg ->
-                write_file path (Engarde.Cfg.to_dot cfg buffer);
+                write_file path (Engarde.Cfg.to_dot cfg ctx.Engarde.Policy.buffer);
                 Printf.printf "dot -> %s\n" path
             | None ->
                 Printf.eprintf "engarde: %s has no code to export\n"
@@ -550,23 +522,9 @@ let callgraph_cmd =
           ~doc:"Also compute and print the per-function dataflow summaries (bottom-up).")
   in
   let run elf_pos bench variant dot_out summaries =
-    let what, raw =
-      match (elf_pos, bench) with
-      | Some path, None -> (Filename.basename path, read_file path)
-      | None, Some b ->
-          ( Toolchain.Workloads.to_string b,
-            (Toolchain.Linker.link (Toolchain.Workloads.build variant b)).Toolchain.Linker.elf )
-      | _ ->
-          prerr_endline "callgraph: pass exactly one of ELF or --bench";
-          exit 2
-    in
-    let buffer, symbols = disasm_payload ~what raw in
-    let callgraph_perf = Sgx.Perf.create () in
-    let summary_perf = Sgx.Perf.create () in
-    let ctx =
-      Engarde.Policy.context ~callgraph_perf ~summary_perf ~perf:(Sgx.Perf.create ())
-        buffer symbols
-    in
+    let _, raw = single_source ~cmd:"callgraph" elf_pos bench variant in
+    let report = Engarde.Report.create () in
+    let ctx = context report raw in
     let cg = Engarde.Policy.callgraph_of ctx in
     let fns = cg.Engarde.Callgraph.index.Engarde.Analysis.functions in
     Printf.printf "%-32s %10s %4s %4s %4s %9s\n" "function" "addr" "scc" "out" "in"
@@ -611,10 +569,10 @@ let callgraph_cmd =
                 (if s.Engarde.Summary.s_returns then "yes" else "no"))
         cg.Engarde.Callgraph.bottom_up;
       Printf.printf "\nfunction summaries: %d modelled cycles\n"
-        (Sgx.Perf.total_cycles summary_perf)
+        (Sgx.Perf.total_cycles report.Engarde.Report.summary)
     end;
     Printf.printf "callgraph construction: %d modelled cycles\n"
-      (Sgx.Perf.total_cycles callgraph_perf);
+      (Sgx.Perf.total_cycles report.Engarde.Report.callgraph);
     match dot_out with
     | None -> ()
     | Some path ->
@@ -645,18 +603,19 @@ let lint_cmd =
     let total =
       List.fold_left
         (fun total (what, raw) ->
-          let buffer, symbols = disasm_payload ~what raw in
-          let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
-          match (List.hd (policies_of_names [ "lint" ])).Engarde.Policy.check ctx with
-          | Engarde.Policy.Compliant ->
-              Printf.printf "%-14s clean\n" what;
-              total
-          | Engarde.Policy.Violations fs ->
+          match
+            verdicts
+              ~label:(Printf.sprintf "%-14s " what)
+              ~policies:(policies_of_names [ "lint" ])
+              (Engarde.Report.create ()) raw
+          with
+          | [ (_, Engarde.Policy.Violations fs) ] ->
               Printf.printf "%-14s %d finding(s)\n" what (List.length fs);
-              List.iter
-                (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-                fs;
-              total + List.length fs)
+              print_findings fs;
+              total + List.length fs
+          | _ ->
+              Printf.printf "%-14s clean\n" what;
+              total)
         0 sources
     in
     if total > 0 then begin
@@ -1568,25 +1527,13 @@ let policy_run_cmd =
           Printf.eprintf "engarde: %s: %s\n" blob_path e;
           exit 2
     in
-    let buffer, symbols =
-      disasm_payload ~what:(Filename.basename elf_path) (read_file elf_path)
-    in
-    let perf = Sgx.Perf.create () in
-    let cfg_perf = Sgx.Perf.create () in
-    let ctx = Engarde.Policy.context ~cfg_perf ~perf buffer symbols in
-    let results = Engarde.Policy.run_all ctx [ policy ] in
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | Engarde.Policy.Compliant -> Printf.printf "policy %-24s compliant\n" name
-        | Engarde.Policy.Violations fs ->
-            Printf.printf "policy %-24s %d violation(s)\n" name (List.length fs);
-            List.iter
-              (fun f -> Printf.printf "  %s\n" (Engarde.Policy.finding_to_string f))
-              fs)
-      results;
+    let report = Engarde.Report.create () in
+    let results = verdicts ~policies:[ policy ] report (read_file elf_path) in
+    print_results results;
+    let row = Engarde.Report.row ~benchmark:elf_path report in
     Printf.printf "modelled policy cycles: %d (+%d cfg)\n"
-      (Sgx.Perf.total_cycles perf) (Sgx.Perf.total_cycles cfg_perf);
+      (row.Engarde.Report.policy_cycles - row.Engarde.Report.cfg_cycles)
+      row.Engarde.Report.cfg_cycles;
     Printf.printf "interpreter overhead:   %d cycles (separate stream)\n"
       (Sgx.Perf.total_cycles vm_perf);
     if not (Engarde.Policy.all_compliant results) then exit 1

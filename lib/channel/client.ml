@@ -110,3 +110,25 @@ let check_resume_accept t ~resumption = function
    secret; the next ticket's resumption secret ratchets from it. *)
 let resumed_secret t ~resumption =
   Record.resumption_secret ~key:(Record.zero_rtt_secret ~resumption ~nonce:t.challenge_bytes)
+
+(* --- the inspector's reply ------------------------------------------ *)
+
+let read_reply ?resumption t msgs =
+  let accepts, rest = List.partition (function Wire.Policy_accept _ -> true | _ -> false) msgs in
+  let confirms, rest = List.partition (function Wire.Resume_accept _ -> true | _ -> false) rest in
+  let rest = List.filter (function Wire.Ticket _ -> false | _ -> true) rest in
+  let negotiated =
+    match (accepts, offered_digest t) with
+    | [], None -> true
+    | [ Wire.Policy_accept { digest } ], Some d -> digest = d
+    | _ -> false
+  in
+  let confirmed =
+    match (resumption, confirms) with
+    | None, [] -> true
+    | Some resumption, [ m ] -> check_resume_accept t ~resumption m
+    | _ -> false
+  in
+  match rest with
+  | [ v ] when negotiated && confirmed -> Result.to_option (read_verdict v)
+  | _ -> None

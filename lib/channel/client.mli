@@ -88,3 +88,15 @@ val check_resume_accept : t -> resumption:string -> Wire.t -> bool
 val resumed_secret : t -> resumption:string -> string
 (** The next resumption secret after a successful 0-RTT run (ratcheted
     from the 0-RTT traffic secret both ends hold). *)
+
+(** {1 The inspector's reply} *)
+
+val read_reply : ?resumption:string -> t -> Wire.t list -> (bool * string) option
+(** The verdict the client honours, from everything the inspector sent
+    back after the payload. The negotiation transcript must match what
+    the client offered (no offer, no [Policy_accept]; an offer, exactly
+    one [Policy_accept] echoing its digest), and once those and any
+    [Ticket] are set aside exactly one message, a [Verdict], may
+    remain. A 0-RTT run passes its [resumption] secret and additionally
+    needs exactly one [Resume_accept] that {!check_resume_accept}
+    confirms. [None] when any of this fails. *)

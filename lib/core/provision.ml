@@ -256,8 +256,6 @@ end
 module Pipeline = struct
   exception Corrupt of string
 
-  type stage = Receiving | Inspecting | Done
-
   type stats = {
     p_records : int;
     p_record_bytes : int;
@@ -272,7 +270,6 @@ module Pipeline = struct
     shadow : Buffer.t;  (* host-side plaintext copy for speculative work *)
     on_event : pipeline_event -> unit;
     hash_runner : Analysis.hash_runner option;
-    mutable stage : stage;
     mutable meta : Channel.Record.meta option;
     mutable prefix_ok : bool;
     mutable pending_fns : (int * int * int) list;  (* (lo, hi, src_off), by src end *)
@@ -295,7 +292,6 @@ module Pipeline = struct
       shadow = Buffer.create 4096;
       on_event;
       hash_runner;
-      stage = Receiving;
       meta = None;
       prefix_ok = false;
       pending_fns = [];
@@ -308,7 +304,6 @@ module Pipeline = struct
       spec_hashes = 0;
     }
 
-  let stage t = t.stage
   let finished t = t.fin
   let speculative t = t.spec
 
@@ -412,7 +407,7 @@ module Pipeline = struct
         | Channel.Record.Accept Channel.Record.Key_update -> ()
         | Channel.Record.Accept (Channel.Record.Meta m) -> accept_meta t m
         | Channel.Record.Accept (Channel.Record.Stream { offset; data }) ->
-            if t.stage <> Receiving then raise (Corrupt "stream record after fin")
+            if t.fin <> None then raise (Corrupt "stream record after fin")
             else if offset <> t.received then raise (Corrupt "non-contiguous stream record")
             else begin
               Sgx.Enclave.write t.enclave ~vaddr:(t.staging + offset) data;
@@ -422,65 +417,65 @@ module Pipeline = struct
               advance_spec t ~final:false
             end
         | Channel.Record.Accept (Channel.Record.Fin { total_len; digest }) ->
-            if t.stage <> Receiving then raise (Corrupt "duplicate fin record")
+            if t.fin <> None then raise (Corrupt "duplicate fin record")
             else begin
               advance_spec t ~final:true;
-              t.fin <- Some (total_len, digest);
-              t.stage <- Inspecting
+              t.fin <- Some (total_len, digest)
             end
       end
     | _ -> () (* non-record traffic is not the pipeline's to interpret *)
-
-  let finish t = t.stage <- Done
 end
 
 (* ------------------------------------------------------------------ *)
-(* Shared inspection stage                                             *)
+(* The judge                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything from "the whole file is staged" to "loaded or rejected".
-   BOTH channel paths run exactly this code with exactly these charges:
-   the streaming pipeline's head start feeds in only through
+type judged = {
+  elf : Elf64.Reader.t;
+  ctx : Policy.context;
+  results : (string * Policy.verdict) list;
+  spec_adopted : int;
+}
+
+(* Everything from "these are the file bytes" to a verdict, in the order
+   the enclave runs it; every static caller ([engarde inspect], the
+   benchmarks, the tests) judges through this same function. BOTH
+   channel paths run exactly this code with exactly these charges: the
+   streaming pipeline's head start feeds in only through
    [Analysis.adopt_digests], whose verified adoptions charge
-   bit-identically to cold computation. Returns the loaded image, the
-   policy results, and how many speculative digests survived
-   verification. *)
-let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec ~total_len ~digest
-    ~received =
-  let staging = staging_base c in
-  if total_len <> received then raise (Reject (Transfer_tampered "missing blocks"));
-  let file = Sgx.Enclave.read enclave ~vaddr:staging ~len:total_len in
-  if Crypto.Sha256.digest file <> digest then
-    raise (Reject (Transfer_tampered "payload digest mismatch"));
+   bit-identically to cold computation. *)
+let judge ?(spec = []) ?hash_runner ?(on_event = fun (_ : pipeline_event) -> ()) report
+    ~policies file =
+  let ( let* ) = Result.bind in
   (* --- header validation --- *)
-  let elf =
-    match Elf64.Reader.parse file with
-    | Ok elf -> elf
-    | Error e -> raise (Reject (Bad_elf (Elf64.Reader.error_to_string e)))
+  let* elf =
+    Result.map_error
+      (fun e -> Bad_elf (Elf64.Reader.error_to_string e))
+      (Elf64.Reader.parse file)
   in
-  if Elf64.Reader.function_symbols elf = [] then raise (Reject Stripped_binary);
-  (match Loader.check_page_separation elf with
-  | Ok () -> ()
-  | Error e -> raise (Reject (Mixed_pages (Loader.error_to_string e))));
+  let* () = if Elf64.Reader.function_symbols elf = [] then Error Stripped_binary else Ok () in
+  let* () =
+    Result.map_error
+      (fun e -> Mixed_pages (Loader.error_to_string e))
+      (Loader.check_page_separation elf)
+  in
   (* --- disassembly --- *)
-  let text =
+  let* text =
     match Elf64.Reader.text_sections elf with
-    | [ t ] -> t
-    | [] -> raise (Reject (Bad_elf "no executable section"))
-    | _ -> raise (Reject (Bad_elf "multiple text sections unsupported"))
+    | [ t ] -> Ok t
+    | [] -> Error (Bad_elf "no executable section")
+    | _ -> Error (Bad_elf "multiple text sections unsupported")
   in
   (* The text bytes are copied once into an off-heap buffer; decoding,
      policy scans and function hashing all read it in place, so the
      multi-MB section never lives on the shared OCaml heap where
      parallel domains would pay GC tracing for it. *)
   let text_big = Elf64.Buf.Big.of_string text.Elf64.Reader.data in
-  let buffer, symbols =
-    match
-      Disasm.run_src report.Report.disassembly ~src:(X86.Decoder.Big text_big)
-        ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-    with
-    | Ok r -> r
-    | Error v -> raise (Reject (Disassembly_failed (X86.Nacl.violation_to_string v)))
+  let* buffer, symbols =
+    Result.map_error
+      (fun v -> Disassembly_failed (X86.Nacl.violation_to_string v))
+      (Disasm.run_src report.Report.disassembly ~src:(X86.Decoder.Big text_big)
+         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
   in
   report.Report.instructions <- Array.length buffer.Disasm.entries;
   (* --- policy modules --- *)
@@ -521,19 +516,9 @@ let inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec ~tot
   | None -> ()
   | Some run_all -> Analysis.prehash ~run_all ctx.Policy.index);
   on_event Policy_phase;
-  let policy_results = Policy.run_all ctx policies in
-  if not (Policy.all_compliant policy_results) then
-    ignore (raise (Reject (Policy_violations policy_results)));
-  (* --- loading --- *)
-  let loaded =
-    match
-      Loader.load report.Report.loading ~enclave ~host ~bias:image_region_base
-        ~stack_pages:c.stack_pages elf
-    with
-    | Ok l -> l
-    | Error e -> raise (Reject (Load_failed (Loader.error_to_string e)))
-  in
-  (loaded, policy_results, spec_adopted)
+  let results = Policy.run_all ctx policies in
+  if Policy.all_compliant results then Ok { elf; ctx; results; spec_adopted }
+  else Error (Policy_violations results)
 
 (* Client-side Meta hint: the client knows its own binary, so it can
    tell the inspector where the text section lives in the file and
@@ -573,6 +558,23 @@ let meta_of_payload payload =
             text_off
       | _ -> None)
 
+(* What the untrusted half of [run]'s first step leaves the enclave to
+   finish: a wrapped session key (and policy offer) queued by a cold
+   handshake, or a ticket that unsealed for 0-RTT. *)
+type handshake =
+  | Wrapped of { fallback : bool }
+  | Unsealed of { sealed : string; nonce : string; resumption : string }
+
+(* The session secrets the enclave holds once step 1 is done. *)
+type keys =
+  | Session of { key : string; fallback : bool }
+  | Resumed of { secret : string; resumption : string }
+
+(* [run] in four steps, each written once for both channels: establish
+   keys (cold handshake, 0-RTT, or fallback); receive the payload into
+   staging (the legacy block drain or the streaming [Pipeline]); judge,
+   then load; send the verdict and ticket, and read them back as the
+   client. *)
 let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Legacy) ?resume
     ?(ticket_epoch = 0) ?(on_event = fun (_ : pipeline_event) -> ()) c ~payload =
   let report = Report.create () in
@@ -604,380 +606,290 @@ let run ?tamper ?hash_runner ?(policies = []) ?(programs = []) ?(channel = `Lega
       ~seed:(c.seed ^ "/client") ~payload ()
   in
   let negotiated = ref None in
-  let chan_stats = ref None in
-  let issued = ref None in
   let client_ep, enclave_ep = Channel.Transport.pair ?tamper () in
+  let reject r = raise (Reject r) in
+  let tampered why = reject (Transfer_tampered why) in
 
-  let finish ~result ~policy_results ~attestation_failure ~client_verdict =
-    {
-      result;
-      report;
-      policy_results;
-      measurement;
-      enclave;
-      host;
-      client_verdict;
-      attestation_failure;
-      negotiated_digest = !negotiated;
-      channel_stats = !chan_stats;
-      ticket = !issued;
-    }
+  (* --- step 1: establish keys --- *)
+
+  (* The client's half of the full handshake, shared by a cold start and
+     the post-fallback retry: the quote response is already queued on
+     [client_ep]. *)
+  let cold_handshake ~fallback =
+    match Channel.Transport.recv client_ep with
+    | None -> Error (Transfer_tampered "quote never arrived", Channel.Client.Protocol "no quote")
+    | Some quote_msg -> (
+        match Channel.Client.handle_quote client quote_msg with
+        | Error failure ->
+            (* The client aborts: it will not hand its code to an enclave
+               it cannot authenticate. *)
+            Error (Transfer_tampered "client aborted after attestation", failure)
+        | Ok wrapped_key_msg ->
+            Channel.Transport.send client_ep wrapped_key_msg;
+            Option.iter (Channel.Transport.send client_ep) (Channel.Client.policy_offer client);
+            Ok (Wrapped { fallback }))
+  in
+  let handshake =
+    match (channel, resume) with
+    | `Streaming, Some (ticket, resumption) -> (
+        (* 0-RTT: the client streams immediately under keys derived from
+           its stashed resumption secret; the inspector decides on the
+           opener whether to ride along or fall back. *)
+        Channel.Transport.send client_ep (Channel.Client.resume_opener client ~ticket);
+        let unsealed =
+          match Channel.Transport.recv enclave_ep with
+          | Some (Channel.Wire.Resume { ticket = blob; nonce }) ->
+              Result.to_option
+                (Ticket.unseal device ~measurement ~policy_digest:c.policy_digest
+                   ~epoch:ticket_epoch blob)
+              |> Option.map (fun sealed -> (sealed, nonce))
+          | _ -> None
+        in
+        match unsealed with
+        | Some (sealed, nonce) -> Ok (Unsealed { sealed; nonce; resumption })
+        | None ->
+            (* Stale or mismatched ticket: discard whatever 0-RTT data
+               arrives and fall back to the full handshake. The client
+               notices the quote response in place of a Resume_accept
+               and re-sends under freshly wrapped keys. *)
+            Seq.iter (Channel.Transport.send client_ep)
+              (Channel.Client.zero_rtt_seq client ~resumption);
+            ignore (Channel.Transport.drain enclave_ep);
+            Channel.Transport.send enclave_ep (quote_response ());
+            cold_handshake ~fallback:true)
+    | _ ->
+        Channel.Transport.send client_ep (Channel.Client.challenge client);
+        let _hello = Channel.Transport.recv enclave_ep in
+        Channel.Transport.send enclave_ep (quote_response ());
+        cold_handshake ~fallback:false
+  in
+  (* The enclave's half. A cold start unwraps the session key, then —
+     for an enclave measured with a policy-set digest — refuses to read
+     any code until the client's offer hashes to exactly that digest:
+     the programs about to judge the code are the ones both parties
+     agreed on and attested. *)
+  let enclave_keys = function
+    | Wrapped { fallback } ->
+        let key =
+          match Channel.Transport.recv enclave_ep with
+          | Some (Channel.Wire.Wrapped_key { wrapped }) -> (
+              match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
+              | Some key when String.length key = 32 -> key
+              | Some _ | None -> tampered "session key unwrap failed")
+          | Some m -> tampered ("expected wrapped key, got " ^ Channel.Wire.describe m)
+          | None -> tampered "no wrapped key"
+        in
+        if c.policy_digest <> "" then begin
+          match Channel.Transport.recv enclave_ep with
+          | Some (Channel.Wire.Policy_offer { programs }) ->
+              let d = Channel.Session.policy_set_digest programs in
+              if d <> c.policy_digest then
+                tampered "offered policy set does not match the measured digest";
+              negotiated := Some d;
+              Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = d })
+          | Some m -> tampered ("expected policy offer, got " ^ Channel.Wire.describe m)
+          | None -> tampered "no policy offer"
+        end;
+        Session { key; fallback }
+    | Unsealed { sealed; nonce; resumption } ->
+        (* The ticket already binds the policy-set digest: confirm and
+           echo it, then ingest the 0-RTT records. *)
+        Channel.Transport.send enclave_ep
+          (Channel.Wire.Resume_accept { confirm = Channel.Record.confirm ~resumption:sealed ~nonce });
+        if c.policy_digest <> "" then begin
+          negotiated := Some c.policy_digest;
+          Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = c.policy_digest })
+        end;
+        Resumed { secret = Channel.Record.zero_rtt_secret ~resumption:sealed ~nonce; resumption }
   in
 
-  (* Policy negotiation: an enclave measured with a policy-set digest
-     refuses to proceed until the client's offer hashes to exactly that
-     digest — the programs about to judge the code are the ones both
-     parties agreed on and attested. *)
-  let check_policy_offer () =
-    if c.policy_digest <> "" then begin
-      match Channel.Transport.recv enclave_ep with
-      | Some (Channel.Wire.Policy_offer { programs }) ->
-          let d = Channel.Session.policy_set_digest programs in
-          if d <> c.policy_digest then
-            raise
-              (Reject (Transfer_tampered "offered policy set does not match the measured digest"));
-          negotiated := Some d;
-          Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = d })
-      | Some m ->
-          raise (Reject (Transfer_tampered ("expected policy offer, got " ^ Channel.Wire.describe m)))
-      | None -> raise (Reject (Transfer_tampered "no policy offer"))
-    end
-  in
+  (* --- step 2: receive the payload --- *)
 
-  let send_verdict result =
-    let accepted, detail =
-      match result with
-      | Ok loaded ->
-          ( true,
-            Printf.sprintf "policy-compliant; %d executable pages, %d relocations"
-              (List.length loaded.Loader.exec_pages)
-              loaded.Loader.relocations_applied )
-      | Error r -> (false, rejection_to_string r)
-    in
-    Channel.Transport.send enclave_ep (Channel.Wire.Verdict { accepted; detail })
+  (* The staged file, once the transfer claims to be complete. *)
+  let staged ~total_len ~digest ~received =
+    if total_len <> received then tampered "missing blocks";
+    let file = Sgx.Enclave.read enclave ~vaddr:(staging_base c) ~len:total_len in
+    if Crypto.Sha256.digest file <> digest then tampered "payload digest mismatch";
+    file
   in
-
-  (* --- legacy monolithic path (paper-faithful): receive everything,
-     then inspect --- *)
-  let legacy_enclave_side () =
-    let session =
-      match Channel.Transport.recv enclave_ep with
-      | Some (Channel.Wire.Wrapped_key { wrapped }) -> begin
-          match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
-          | Some key when String.length key = 32 -> Channel.Session.create ~key
-          | Some _ | None -> raise (Reject (Transfer_tampered "session key unwrap failed"))
-        end
-      | Some m ->
-          raise (Reject (Transfer_tampered ("expected wrapped key, got " ^ Channel.Wire.describe m)))
-      | None -> raise (Reject (Transfer_tampered "no wrapped key"))
-    in
-    check_policy_offer ();
-    (* Receive blocks into the staging area. *)
-    let staging = staging_base c in
+  (* Legacy (paper-faithful): the client sends every block, then the
+     enclave drains them into staging. *)
+  let receive_blocks ~key =
+    on_event Transfer_started;
+    List.iter (Channel.Transport.send client_ep) (Channel.Client.code_messages client);
+    let session = Channel.Session.create ~key in
     let total = ref None in
-    let digest = ref "" in
     let received = ref 0 in
     let rec drain () =
       match Channel.Transport.recv enclave_ep with
       | None -> ()
-      | Some (Channel.Wire.Code_block { seq; offset; ciphertext; tag }) -> begin
+      | Some (Channel.Wire.Code_block { seq; offset; ciphertext; tag }) -> (
           match Channel.Session.decrypt_block session ~seq ~offset ~ciphertext ~tag with
-          | None ->
-              raise
-                (Reject (Transfer_tampered (Printf.sprintf "block %d failed authentication" seq)))
+          | None -> tampered (Printf.sprintf "block %d failed authentication" seq)
           | Some plain ->
-              Sgx.Enclave.write enclave ~vaddr:(staging + offset) plain;
+              Sgx.Enclave.write enclave ~vaddr:(staging_base c + offset) plain;
               received := max !received (offset + String.length plain);
-              drain ()
-        end
-      | Some (Channel.Wire.Transfer_done { total_len; digest = d }) ->
-          total := Some total_len;
-          digest := d;
+              drain ())
+      | Some (Channel.Wire.Transfer_done { total_len; digest }) ->
+          total := Some (total_len, digest);
           drain ()
       | Some _ -> drain ()
     in
     drain ();
-    let total_len =
-      match !total with
-      | Some t -> t
-      | None -> raise (Reject (Transfer_tampered "transfer never completed"))
-    in
-    let loaded, policy_results, _ =
-      inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec:[] ~total_len
-        ~digest:!digest ~received:!received
-    in
-    (loaded, policy_results)
+    match !total with
+    | Some (total_len, digest) -> (staged ~total_len ~digest ~received:!received, [], None)
+    | None -> tampered "transfer never completed"
   in
-
-  (* --- streaming path: ingest records as the client produces them --- *)
-  let in_flight_peak = ref 0 in
-  let stream_transfer ~secret ~spec_meta seq =
+  (* Streaming: records are ingested as the client produces them. *)
+  let receive_stream ~secret seq =
     let pipeline =
       Pipeline.create ~enclave ~staging:(staging_base c) ~secret ?hash_runner ~on_event ()
     in
-    ignore spec_meta;
+    let in_flight_peak = ref 0 in
     on_event Transfer_started;
     Seq.iter
       (fun msg ->
         Channel.Transport.send client_ep msg;
         in_flight_peak := max !in_flight_peak (Channel.Transport.pending_bytes enclave_ep);
-        let rec ingest () =
-          match Channel.Transport.recv enclave_ep with
-          | None -> ()
-          | Some m ->
-              Pipeline.feed pipeline m;
-              ingest ()
-        in
-        ingest ())
+        List.iter (Pipeline.feed pipeline) (Channel.Transport.drain enclave_ep))
       seq;
     (* Anything the transport dropped (tampered beyond parsing) shows
        up here as an incomplete transfer. *)
     match Pipeline.finished pipeline with
-    | None -> raise (Reject (Transfer_tampered "transfer never completed"))
+    | None -> tampered "transfer never completed"
     | Some (total_len, digest) ->
-        let st = Pipeline.stats pipeline in
-        Pipeline.finish pipeline;
-        (total_len, digest, Pipeline.speculative pipeline, st)
+        ( staged ~total_len ~digest ~received:total_len,
+          Pipeline.speculative pipeline,
+          Some (Pipeline.stats pipeline, !in_flight_peak) )
   in
-  let streaming_inspect ~resumed ~fallback ~secret ~spec_meta seq =
-    match
-      let total_len, digest, spec, st = stream_transfer ~secret ~spec_meta seq in
-      let loaded, policy_results, spec_adopted =
-        inspect c ~report ~enclave ~host ~policies ~hash_runner ~on_event ~spec ~total_len ~digest
-          ~received:total_len
-      in
-      (loaded, policy_results, st, spec_adopted)
-    with
-    | loaded, policy_results, st, spec_adopted ->
-        chan_stats :=
-          Some
-            {
-              records = st.Pipeline.p_records;
-              record_bytes = st.Pipeline.p_record_bytes;
-              in_flight_peak = !in_flight_peak;
-              epoch_updates = st.Pipeline.p_epoch_updates;
-              resumed;
-              fallback;
-              spec_hashes = st.Pipeline.p_spec_hashes;
-              spec_adopted;
-            };
-        (Ok loaded, policy_results)
-    | exception Pipeline.Corrupt why -> (Error (Transfer_tampered why), [])
-    | exception Reject (Policy_violations results as r) -> (Error r, results)
-    | exception Reject r -> (Error r, [])
-    | exception Sgx.Enclave.Sgx_fault why -> (Error (Load_failed why), [])
+  let receive = function
+    | Session { key; _ } when channel = `Legacy -> receive_blocks ~key
+    | Session { key; _ } ->
+        let meta = meta_of_payload payload in
+        receive_stream ~secret:(Channel.Record.traffic_secret ~key)
+          (Channel.Client.stream_seq ?meta client)
+    | Resumed { secret; resumption } ->
+        let meta = meta_of_payload payload in
+        receive_stream ~secret (Channel.Client.zero_rtt_seq ?meta client ~resumption)
   in
 
-  (* Issue (or re-issue) a ticket after an accepted verdict: the client
-     can come back without the RSA handshake as long as the inspector's
-     measurement, policy set, and ticket epoch still match. *)
-  let issue_ticket ~result ~resumption ~client_secret =
-    match result with
-    | Ok _ ->
-        let blob =
-          Ticket.seal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
-            ~resumption
+  (* --- step 3: judge, then load --- *)
+  let judge_and_load (file, spec, pipeline) keys =
+    match judge ~spec ?hash_runner ~on_event report ~policies file with
+    | Error r -> reject r
+    | Ok j ->
+        let loaded =
+          match
+            Loader.load report.Report.loading ~enclave ~host ~bias:image_region_base
+              ~stack_pages:c.stack_pages j.elf
+          with
+          | Ok l -> l
+          | Error e -> reject (Load_failed (Loader.error_to_string e))
         in
-        Channel.Transport.send enclave_ep (Channel.Wire.Ticket { blob });
-        issued := Some (blob, client_secret)
-    | Error _ -> ()
+        let stats =
+          Option.map
+            (fun (st, in_flight_peak) ->
+              {
+                records = st.Pipeline.p_records;
+                record_bytes = st.Pipeline.p_record_bytes;
+                in_flight_peak;
+                epoch_updates = st.Pipeline.p_epoch_updates;
+                resumed = (match keys with Resumed _ -> true | Session _ -> false);
+                fallback = (match keys with Session { fallback; _ } -> fallback | Resumed _ -> false);
+                spec_hashes = st.Pipeline.p_spec_hashes;
+                spec_adopted = j.spec_adopted;
+              })
+            pipeline
+        in
+        (loaded, j.results, stats, keys)
   in
 
-  (* The full-handshake flow, shared by the legacy channel, cold
-     streaming, and the post-fallback retry. The client has already
-     received the quote response on [client_ep]. *)
-  let full_handshake ~fallback () =
-    match Channel.Transport.recv client_ep with
-    | None ->
-        finish
-          ~result:(Error (Transfer_tampered "quote never arrived"))
-          ~policy_results:[] ~attestation_failure:(Some (Channel.Client.Protocol "no quote"))
-          ~client_verdict:None
-    | Some quote_msg -> begin
-        match Channel.Client.handle_quote client quote_msg with
-        | Error failure ->
-            (* The client aborts: it will not hand its code to an enclave
-               it cannot authenticate. *)
-            finish
-              ~result:(Error (Transfer_tampered "client aborted after attestation"))
-              ~policy_results:[] ~attestation_failure:(Some failure) ~client_verdict:None
-        | Ok wrapped_key_msg -> begin
-            Channel.Transport.send client_ep wrapped_key_msg;
-            (match Channel.Client.policy_offer client with
-            | Some offer -> Channel.Transport.send client_ep offer
-            | None -> ());
-            Sgx.Enclave.eenter enclave;
-            let result, policy_results =
-              match channel with
-              | `Legacy -> (
-                  on_event Transfer_started;
-                  List.iter (Channel.Transport.send client_ep) (Channel.Client.code_messages client);
-                  match legacy_enclave_side () with
-                  | loaded, policy_results -> (Ok loaded, policy_results)
-                  | exception Reject (Policy_violations results as r) -> (Error r, results)
-                  | exception Reject r -> (Error r, [])
-                  | exception Sgx.Enclave.Sgx_fault why -> (Error (Load_failed why), []))
-              | `Streaming -> (
-                  (* The enclave unwraps the session key and checks the
-                     offer before any record can be read. *)
-                  match
-                    (match Channel.Transport.recv enclave_ep with
-                    | Some (Channel.Wire.Wrapped_key { wrapped }) -> begin
-                        match Crypto.Rsa.decrypt (Lazy.force keypair) wrapped with
-                        | Some key when String.length key = 32 -> key
-                        | Some _ | None ->
-                            raise (Reject (Transfer_tampered "session key unwrap failed"))
-                      end
-                    | Some m ->
-                        raise
-                          (Reject
-                             (Transfer_tampered
-                                ("expected wrapped key, got " ^ Channel.Wire.describe m)))
-                    | None -> raise (Reject (Transfer_tampered "no wrapped key")))
-                  with
-                  | key ->
-                      (match check_policy_offer () with
-                      | () -> ()
-                      | exception e -> raise e);
-                      let meta = meta_of_payload payload in
-                      streaming_inspect ~resumed:false ~fallback
-                        ~secret:(Channel.Record.traffic_secret ~key)
-                        ~spec_meta:meta
-                        (Channel.Client.stream_seq ?meta client)
-                  | exception Reject r -> (Error r, []))
-            in
-            Sgx.Enclave.eexit enclave;
-            (* --- verdict back to the client --- *)
-            send_verdict result;
-            (match (channel, Channel.Client.resumption client) with
-            | `Streaming, Some client_secret ->
-                issue_ticket ~result
-                  ~resumption:client_secret (* both ends derive it from the session key *)
-                  ~client_secret
-            | _ -> ());
-            let client_verdict =
-              let msgs = Channel.Transport.drain client_ep in
-              let accepts, rest =
-                List.partition
-                  (function Channel.Wire.Policy_accept _ -> true | _ -> false)
-                  msgs
-              in
-              let _tickets, rest =
-                List.partition (function Channel.Wire.Ticket _ -> true | _ -> false) rest
-              in
-              (* The client only honors a verdict when the negotiation
-                 transcript matches what it offered: no offer -> no
-                 accept; an offer -> exactly one accept echoing its own
-                 digest. *)
-              let accept_ok =
-                match (accepts, Channel.Client.offered_digest client) with
-                | [], None -> true
-                | [ Channel.Wire.Policy_accept { digest } ], Some d -> digest = d
-                | _ -> false
-              in
-              match rest with
-              | [ v ] when accept_ok ->
-                  (match Channel.Client.read_verdict v with Ok r -> Some r | Error _ -> None)
-              | _ -> None
-            in
-            finish ~result ~policy_results ~attestation_failure:None ~client_verdict
-          end
-      end
-  in
-
-  match (channel, resume) with
-  | `Streaming, Some (ticket, resumption) -> begin
-      (* 0-RTT: the client streams immediately under keys derived from
-         its stashed resumption secret; the inspector decides on the
-         opener whether to ride along or fall back. *)
-      Channel.Transport.send client_ep (Channel.Client.resume_opener client ~ticket);
-      let nonce =
-        match Channel.Transport.recv enclave_ep with
-        | Some (Channel.Wire.Resume { ticket = blob; nonce }) -> (
-            match
-              Ticket.unseal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
-                blob
-            with
-            | Ok sealed_resumption -> Ok (sealed_resumption, nonce)
-            | Error why -> Error why)
-        | _ -> Error "no resume opener"
+  match handshake with
+  | Error (why, failure) ->
+      {
+        result = Error why;
+        report;
+        policy_results = [];
+        measurement;
+        enclave;
+        host;
+        client_verdict = None;
+        attestation_failure = Some failure;
+        negotiated_digest = None;
+        channel_stats = None;
+        ticket = None;
+      }
+  | Ok handshake ->
+      Sgx.Enclave.eenter enclave;
+      let judged =
+        match
+          let keys = enclave_keys handshake in
+          judge_and_load (receive keys) keys
+        with
+        | ok -> Ok ok
+        | exception Pipeline.Corrupt why -> Error (Transfer_tampered why)
+        | exception Reject r -> Error r
+        | exception Sgx.Enclave.Sgx_fault why -> Error (Load_failed why)
       in
-      match nonce with
-      | Ok (sealed_resumption, nonce) ->
-          (* Accepted: confirm, then ingest the 0-RTT records. *)
-          Sgx.Enclave.eenter enclave;
-          Channel.Transport.send enclave_ep
-            (Channel.Wire.Resume_accept
-               { confirm = Channel.Record.confirm ~resumption:sealed_resumption ~nonce });
-          (if c.policy_digest <> "" then begin
-             negotiated := Some c.policy_digest;
-             Channel.Transport.send enclave_ep (Channel.Wire.Policy_accept { digest = c.policy_digest })
-           end);
-          let meta = meta_of_payload payload in
-          let zero_rtt = Channel.Record.zero_rtt_secret ~resumption:sealed_resumption ~nonce in
-          let result, policy_results =
-            streaming_inspect ~resumed:true ~fallback:false ~secret:zero_rtt ~spec_meta:meta
-              (Channel.Client.zero_rtt_seq ?meta client ~resumption)
-          in
-          Sgx.Enclave.eexit enclave;
-          send_verdict result;
-          let next_resumption = Channel.Record.resumption_secret ~key:zero_rtt in
-          issue_ticket ~result ~resumption:next_resumption
-            ~client_secret:(Channel.Client.resumed_secret client ~resumption);
-          (* Client side: honor the verdict only under a valid
-             confirmation and a matching negotiation echo. *)
-          let client_verdict =
-            let msgs = Channel.Transport.drain client_ep in
-            let confirmed =
-              List.exists (fun m -> Channel.Client.check_resume_accept client ~resumption m) msgs
+      Sgx.Enclave.eexit enclave;
+      (* --- step 4: verdict and ticket back to the client --- *)
+      let result = Result.map (fun (loaded, _, _, _) -> loaded) judged in
+      let accepted, detail =
+        match result with
+        | Ok loaded ->
+            ( true,
+              Printf.sprintf "policy-compliant; %d executable pages, %d relocations"
+                (List.length loaded.Loader.exec_pages)
+                loaded.Loader.relocations_applied )
+        | Error r -> (false, rejection_to_string r)
+      in
+      Channel.Transport.send enclave_ep (Channel.Wire.Verdict { accepted; detail });
+      (* An accepted streaming run earns a ticket: the client can come
+         back without the RSA handshake as long as the inspector's
+         measurement, policy set, and ticket epoch still match. *)
+      let ticket =
+        let secrets =
+          match judged with
+          | Ok (_, _, _, Session _) when channel = `Legacy -> None
+          | Ok (_, _, _, Session _) ->
+              (* both ends derive it from the session key *)
+              Option.map (fun s -> (s, s)) (Channel.Client.resumption client)
+          | Ok (_, _, _, Resumed { secret; resumption }) ->
+              Some
+                ( Channel.Record.resumption_secret ~key:secret,
+                  Channel.Client.resumed_secret client ~resumption )
+          | Error _ -> None
+        in
+        Option.map
+          (fun (resumption, client_secret) ->
+            let blob =
+              Ticket.seal device ~measurement ~policy_digest:c.policy_digest ~epoch:ticket_epoch
+                ~resumption
             in
-            let accept_ok =
-              let accepts =
-                List.filter_map
-                  (function Channel.Wire.Policy_accept { digest } -> Some digest | _ -> None)
-                  msgs
-              in
-              match (accepts, Channel.Client.offered_digest client) with
-              | [], None -> true
-              | [ d ], Some d' -> d = d'
-              | _ -> false
-            in
-            if not (confirmed && accept_ok) then None
-            else
-              List.find_map
-                (function
-                  | Channel.Wire.Verdict { accepted; detail } -> Some (accepted, detail)
-                  | _ -> None)
-                msgs
-          in
-          finish ~result ~policy_results ~attestation_failure:None ~client_verdict
-      | Error _why ->
-          (* Stale or mismatched ticket: discard whatever 0-RTT data
-             arrives and fall back to the full handshake. The client
-             notices the quote response in place of a Resume_accept and
-             re-sends under freshly wrapped keys. *)
-          Seq.iter
-            (fun msg -> Channel.Transport.send client_ep msg)
-            (Channel.Client.zero_rtt_seq client ~resumption);
-          let rec discard () =
-            match Channel.Transport.recv enclave_ep with
-            | None -> ()
-            | Some _ -> discard ()
-          in
-          discard ();
-          Channel.Transport.send enclave_ep (quote_response ());
-          let o = full_handshake ~fallback:true () in
-          (* The 0-RTT attempt is part of this run's channel story. *)
-          (match o.channel_stats with
-          | Some st -> chan_stats := Some { st with fallback = true }
-          | None -> ());
-          { o with channel_stats = !chan_stats }
-    end
-  | _ ->
-      (* --- attestation handshake over the channel --- *)
-      Channel.Transport.send client_ep (Channel.Client.challenge client);
-      let _hello = Channel.Transport.recv enclave_ep in
-      Channel.Transport.send enclave_ep (quote_response ());
-      full_handshake ~fallback:false ()
+            Channel.Transport.send enclave_ep (Channel.Wire.Ticket { blob });
+            (blob, client_secret))
+          secrets
+      in
+      let resumption =
+        match handshake with Unsealed { resumption; _ } -> Some resumption | Wrapped _ -> None
+      in
+      {
+        result;
+        report;
+        policy_results =
+          (match judged with
+          | Ok (_, results, _, _) -> results
+          | Error (Policy_violations results) -> results
+          | Error _ -> []);
+        measurement;
+        enclave;
+        host;
+        client_verdict =
+          Channel.Client.read_reply ?resumption client (Channel.Transport.drain client_ep);
+        attestation_failure = None;
+        negotiated_digest = !negotiated;
+        channel_stats = (match judged with Ok (_, _, stats, _) -> stats | Error _ -> None);
+        ticket;
+      }
 
 let findings outcome = Policy.findings outcome.policy_results

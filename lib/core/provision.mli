@@ -152,8 +152,6 @@ module Pipeline : sig
   (** Raised by {!feed} when the record stream fails authentication or
       framing — the provisioning attempt is rejected as tampered. *)
 
-  type stage = Receiving | Inspecting | Done
-
   type stats = {
     p_records : int;
     p_record_bytes : int;
@@ -175,7 +173,6 @@ module Pipeline : sig
   val feed : t -> Channel.Wire.t -> unit
   (** Ingest one wire message; non-[Record] traffic is ignored. *)
 
-  val stage : t -> stage
   val finished : t -> (int * string) option
   (** [(total_len, digest)] once the [Fin] record arrived. *)
 
@@ -183,8 +180,42 @@ module Pipeline : sig
   (** The speculative digests: [(lo, hi, src_off, sha256_hex)]. *)
 
   val stats : t -> stats
-  val finish : t -> unit
 end
+
+(** What {!judge} hands back for bytes it accepts. *)
+type judged = {
+  elf : Elf64.Reader.t;              (** the parsed header, for the loader *)
+  ctx : Policy.context;              (** the shared analysis the policies ran on *)
+  results : (string * Policy.verdict) list;  (** every policy compliant *)
+  spec_adopted : int;                (** speculative digests that survived verification *)
+}
+
+val judge :
+  ?spec:(int * int * int * string) list ->
+  ?hash_runner:Analysis.hash_runner ->
+  ?on_event:(pipeline_event -> unit) ->
+  Report.t ->
+  policies:Policy.t list ->
+  string ->
+  (judged, rejection) result
+(** The enclave's bytes-to-verdict path, exactly as {!run} runs it on
+    the staged file before loading, and the one every static caller
+    ([engarde inspect], [lint], [cfg], the benchmarks, the tests) uses
+    too. In order: parse the ELF header ([Bad_elf]); reject a binary
+    without function symbols ([Stripped_binary]); check code and data
+    never share a page ([Mixed_pages]); require exactly one executable
+    section ([Bad_elf "no executable section"] /
+    [Bad_elf "multiple text sections unsupported"]); disassemble it
+    under the NaCl constraints from an off-heap copy
+    ([Disassembly_failed]); build the policy context on the report's
+    perf streams (disassembly, analysis, cfg, callgraph, summary,
+    policy); adopt the [spec] digests ([(lo, hi, src_off, sha256_hex)],
+    see {!Pipeline.speculative}) whose bytes match the text section;
+    prehash function digests on [hash_runner]; emit [Policy_phase];
+    run [policies]. Any non-compliant verdict is
+    [Error (Policy_violations results)]. Malformed bytes come back as
+    [Error]; they never raise. [report.instructions] is set once the
+    disassembly succeeds. *)
 
 val run :
   ?tamper:(Channel.Wire.t -> Channel.Wire.t) ->
@@ -219,4 +250,19 @@ val run :
     full handshake transparently — the run still completes, with
     [channel_stats.fallback] set. [ticket_epoch] is the provider's
     ticket-key generation; bumping it invalidates all outstanding
-    tickets. [on_event] observes pipeline progress. *)
+    tickets. [on_event] observes pipeline progress.
+
+    The run takes four steps, each written once for both channels:
+    establish keys (cold handshake, 0-RTT, or fallback); receive the
+    payload into enclave staging; {!judge} the staged bytes, then load
+    them; send the verdict (and, for an accepted streaming run, a
+    ticket) and read it back as the client.
+
+    Returns the outcome whatever happened: [result] is the loaded image
+    or the enclave's rejection (a client that refuses the quote leaves
+    [Transfer_tampered] with [attestation_failure] set and nothing
+    judged); [policy_results] are the verdicts the judge reached, also
+    on [Policy_violations], empty when it never got that far;
+    [client_verdict] is what the client honoured by
+    {!Channel.Client.read_reply}; [report] carries every modelled cycle
+    the run charged. *)

@@ -161,12 +161,12 @@ let job_completed t ~cache_hit =
 let job_failed t = incr t.failed
 let job_retried t = incr t.retried
 
-let observe_run t ~disassembly ~policy ~callgraph ~summary ~loading ~provisioning =
-  addto t.disassembly disassembly;
-  addto t.policy policy;
-  addto t.callgraph callgraph;
-  addto t.summary summary;
-  addto t.loading loading;
+let observe_run t (row : Engarde.Report.row) ~provisioning =
+  addto t.disassembly row.Engarde.Report.disassembly_cycles;
+  addto t.policy row.Engarde.Report.policy_cycles;
+  addto t.callgraph row.Engarde.Report.callgraph_cycles;
+  addto t.summary row.Engarde.Report.summary_cycles;
+  addto t.loading row.Engarde.Report.loading_cycles;
   addto t.provisioning provisioning;
   incr t.runs
 

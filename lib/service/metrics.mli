@@ -42,20 +42,15 @@ val job_completed : t -> cache_hit:bool -> unit
 val job_failed : t -> unit
 val job_retried : t -> unit
 
-val observe_run :
-  t ->
-  disassembly:int ->
-  policy:int ->
-  callgraph:int ->
-  summary:int ->
-  loading:int ->
-  provisioning:int ->
-  unit
-(** Charge one real pipeline execution's per-phase cycles. [callgraph]
-    and [summary] are the interprocedural-tier shares of the policy
-    phase, broken out as [analysis_callgraph_cycles_total] /
-    [analysis_summary_cycles_total] (zero unless an agreed policy
-    demanded the call graph or callee summaries). Cache hits observe
+val observe_run : t -> Engarde.Report.row -> provisioning:int -> unit
+(** Charge one real pipeline execution's per-phase cycles, split exactly
+    as {!Engarde.Report.row} splits them: the policy phase is the
+    paper's whole "Policy Checking" column (index build, CFG recovery,
+    the interprocedural tier and the visitors), with the call-graph and
+    summary shares also broken out as [analysis_callgraph_cycles_total]
+    / [analysis_summary_cycles_total] (zero unless an agreed policy
+    demanded them). [provisioning] is the channel, crypto and enclave
+    build overhead the row leaves out. Cache hits observe
     nothing — that is the amortization the cache exists for. *)
 
 val observe_latency : t -> cycles:int -> unit

@@ -243,6 +243,15 @@ let program_set t names =
 
 let programs_digest t names = Channel.Session.policy_set_digest (program_set t names)
 
+let negotiated t names =
+  let programs = program_set t names in
+  ( programs,
+    {
+      t.cfg.provision with
+      Engarde.Provision.policy_names = names;
+      policy_digest = Channel.Session.policy_set_digest programs;
+    } )
+
 (* One fresh policy instance for one attempt. [create] validated the
    custom programs, so resolution cannot fail here. *)
 let policy_for t name =
@@ -506,14 +515,7 @@ let start_attempt t ~worker a =
   a.attempts <- a.attempts + 1;
   let job = a.ajob in
   let policies = List.map (policy_for t) job.policy_names in
-  let programs = program_set t job.policy_names in
-  let provision_cfg =
-    {
-      t.cfg.provision with
-      Engarde.Provision.policy_names = job.policy_names;
-      policy_digest = Channel.Session.policy_set_digest programs;
-    }
-  in
+  let programs, provision_cfg = negotiated t job.policy_names in
   let tamper = t.cfg.fault ~attempt:a.attempts job in
   let hash_runner = Option.map (fun pool -> Pool.run_all pool) t.cfg.pool in
   let channel = t.cfg.channel in
@@ -548,19 +550,12 @@ let start_attempt t ~worker a =
    modelled cycles and decide — retry, fail, time out, or complete. *)
 let finish_attempt t ~worker a outcome =
   let report = outcome.Engarde.Provision.report in
-  let phase p = Sgx.Perf.total_cycles p in
-  let disassembly = phase report.Engarde.Report.disassembly in
-  let callgraph = phase report.Engarde.Report.callgraph in
-  let summary = phase report.Engarde.Report.summary in
-  let policy =
-    phase report.Engarde.Report.analysis + phase report.Engarde.Report.policy
-    + callgraph + summary
-  in
-  let loading = phase report.Engarde.Report.loading in
-  let provisioning = phase report.Engarde.Report.provisioning in
-  Metrics.observe_run t.metrics ~disassembly ~policy ~callgraph ~summary ~loading
-    ~provisioning;
-  a.cycles <- a.cycles + disassembly + policy + loading + provisioning;
+  let row = Engarde.Report.row ~benchmark:a.ajob.client report in
+  let provisioning = Sgx.Perf.total_cycles report.Engarde.Report.provisioning in
+  Metrics.observe_run t.metrics row ~provisioning;
+  a.cycles <-
+    a.cycles + row.Engarde.Report.disassembly_cycles + row.Engarde.Report.policy_cycles
+    + row.Engarde.Report.loading_cycles + provisioning;
   (match outcome.Engarde.Provision.channel_stats with
   | None -> ()
   | Some (st : Engarde.Provision.channel_stats) ->

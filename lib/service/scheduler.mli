@@ -178,6 +178,13 @@ val programs_digest : t -> string list -> string
     measured into the judging enclave, offered by the client, recorded
     in audit leaves, and folded into cache keys. *)
 
+val negotiated : t -> string list -> (string * string) list * Engarde.Provision.config
+(** For a policy-name list, the {!program_set} the client offers and
+    the service's provisioning template measured with it: [policy_names]
+    set to the list and [policy_digest] to its {!programs_digest}. Every
+    attempt builds its enclave from this, and so do the CLI's
+    [provision] and [measure]. *)
+
 val create : config -> t
 val config : t -> config
 val metrics : t -> Metrics.t

@@ -5,20 +5,6 @@
 
 open Toolchain
 
-let context_of_image (img : Linker.image) =
-  let perf = Sgx.Perf.create () in
-  match Elf64.Reader.parse img.Linker.elf with
-  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
-  | Ok elf -> (
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      match
-        Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-          ~symbols:elf.Elf64.Reader.symbols
-      with
-      | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v)
-      | Ok (buffer, symbols) ->
-          Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols)
-
 let why = Engarde.Policy.verdict_to_string
 let stack_policy ?mode () = Engarde.Policy_stack.make ~exempt:Libc.function_names ?mode ()
 
@@ -32,7 +18,7 @@ let find_insns (ctx : Engarde.Policy.context) pred =
 (* ------------------------------------------------------------------ *)
 
 let jump_past_mask_gap () =
-  let ctx = context_of_image (Linker.link_adversarial Workloads.Jump_past_mask) in
+  let ctx = Judged.context_of_image (Linker.link_adversarial Workloads.Jump_past_mask) in
   (* The paper's window check sees a perfect masking sequence before
      the call and accepts. *)
   (match (Engarde.Policy_ifcc.make ~mode:`Pattern ()).Engarde.Policy.check ctx with
@@ -58,7 +44,7 @@ let jump_past_mask_gap () =
       Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 let early_ret_gap () =
-  let ctx = context_of_image (Linker.link_adversarial Workloads.Early_ret) in
+  let ctx = Judged.context_of_image (Linker.link_adversarial Workloads.Early_ret) in
   (* The epilogue pattern exists somewhere in the function, so the
      paper's scan accepts. *)
   (match (stack_policy ~mode:`Pattern ()).Engarde.Policy.check ctx with
@@ -98,7 +84,7 @@ let clean_workloads_flow_and_lint () =
   in
   List.iter
     (fun (inst, bench) ->
-      let ctx = context_of_image (Linker.link (Workloads.build inst bench)) in
+      let ctx = Judged.context_of_image (Linker.link (Workloads.build inst bench)) in
       let policies =
         (if inst.Codegen.stack_protector then [ stack_policy () ] else [])
         @ (if inst.Codegen.ifcc then [ Engarde.Policy_ifcc.make () ] else [])
@@ -119,7 +105,7 @@ let clean_workloads_flow_and_lint () =
 (* ------------------------------------------------------------------ *)
 
 let dot_export () =
-  let ctx = context_of_image (Linker.link_adversarial Workloads.Early_ret) in
+  let ctx = Judged.context_of_image (Linker.link_adversarial Workloads.Early_ret) in
   let idx = ctx.Engarde.Policy.index in
   let fn =
     match
@@ -164,7 +150,7 @@ let dot_escaping () =
 (* ------------------------------------------------------------------ *)
 
 let base_ctx =
-  lazy (context_of_image (Linker.link_adversarial Workloads.Early_ret))
+  lazy (Judged.context_of_image (Linker.link_adversarial Workloads.Early_ret))
 
 (* Replace random entries with random control flow, keeping addresses
    and lengths: decoded-buffer shapes no toolchain would emit. *)

@@ -22,21 +22,6 @@ let mcf_plain = lazy (Linker.link (Workloads.build Codegen.plain Workloads.Mcf))
 let mcf_stack = lazy (Linker.link (Workloads.build Codegen.with_stack_protector Workloads.Mcf))
 let otp_ifcc = lazy (Linker.link (Workloads.build Codegen.with_ifcc Workloads.Otpgen))
 
-(* Build a disassembly context directly from an image (no enclave). *)
-let context_of_image (img : Linker.image) =
-  let perf = Sgx.Perf.create () in
-  match Elf64.Reader.parse img.Linker.elf with
-  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
-  | Ok elf -> (
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      match
-        Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-          ~symbols:elf.Elf64.Reader.symbols
-      with
-      | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v)
-      | Ok (buffer, symbols) ->
-          (Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols, elf))
-
 (* Render a verdict's messages for affix checks / failure output. *)
 let why v = Engarde.Policy.verdict_to_string v
 
@@ -62,7 +47,7 @@ let symhash_basics () =
 
 let disasm_builds_buffer () =
   let img = Lazy.force mcf_plain in
-  let ctx, _ = context_of_image img in
+  let ctx = Judged.context_of_image img in
   let b = ctx.Engarde.Policy.buffer in
   Alcotest.(check int) "every instruction decoded" 12903 (Array.length b.Engarde.Disasm.entries);
   (* Entries are in address order and contiguous. *)
@@ -79,16 +64,12 @@ let disasm_builds_buffer () =
 let disasm_charges_cycles () =
   let img = Lazy.force mcf_plain in
   let perf = Sgx.Perf.create () in
-  (match Elf64.Reader.parse img.Linker.elf with
-  | Ok elf ->
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      (match
-         Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-           ~symbols:elf.Elf64.Reader.symbols
-       with
-      | Ok _ -> ()
-      | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v))
-  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e));
+  (match
+     Engarde.Disasm.run perf ~code:img.Linker.text ~base:img.Linker.text_addr
+       ~symbols:img.Linker.symbols
+   with
+  | Ok _ -> ()
+  | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v));
   (* At least decode_base per instruction plus malloc trampolines. *)
   Alcotest.(check bool) "cycles charged" true
     (Sgx.Perf.total_cycles perf > 12903 * Engarde.Costmodel.decode_base);
@@ -99,7 +80,7 @@ let disasm_charges_cycles () =
 (* ------------------------------------------------------------------ *)
 
 let policy_libc_accepts_good () =
-  let ctx, _ = context_of_image (Lazy.force mcf_plain) in
+  let ctx = Judged.context_of_image (Lazy.force mcf_plain) in
   let p = Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () in
   match p.Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
@@ -108,7 +89,7 @@ let policy_libc_accepts_good () =
 let policy_libc_rejects_old_version () =
   (* Linked against v1.0.4; provider demands v1.0.5. *)
   let img = Linker.link (Workloads.build ~libc:Libc.V1_0_4 Codegen.plain Workloads.Mcf) in
-  let ctx, _ = context_of_image img in
+  let ctx = Judged.context_of_image img in
   let p = Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () in
   match p.Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
@@ -120,7 +101,7 @@ let policy_libc_rejects_tampered_memcpy () =
   (* Client ships v1.0.5 with a backdoored memcpy. mcf must actually
      call memcpy for the policy to notice; memcpy is in every pool. *)
   let img = Linker.link (Workloads.build ~libc:Libc.Tampered_1_0_5 Codegen.plain Workloads.Mcf) in
-  let ctx, _ = context_of_image img in
+  let ctx = Judged.context_of_image img in
   let p = Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () in
   match p.Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
@@ -130,9 +111,10 @@ let policy_libc_rejects_tampered_memcpy () =
 
 let policy_libc_charges_hashing () =
   let run p =
-    let ctx, _ = context_of_image (Lazy.force mcf_plain) in
+    let report = Engarde.Report.create () in
+    let ctx = Judged.context_of_image ~report (Lazy.force mcf_plain) in
     ignore (p.Engarde.Policy.check ctx);
-    Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+    Judged.policy_cycles report
   in
   let db = Lazy.force libc_db in
   let memoized = run (Engarde.Policy_libc.make ~db ()) in
@@ -152,14 +134,14 @@ let policy_libc_charges_hashing () =
 let stack_policy () = Engarde.Policy_stack.make ~exempt:Libc.function_names ()
 
 let policy_stack_accepts_protected () =
-  let ctx, _ = context_of_image (Lazy.force mcf_stack) in
+  let ctx = Judged.context_of_image (Lazy.force mcf_stack) in
   match (stack_policy ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v ->
       Alcotest.failf "rejected protected binary: %s" (why v)
 
 let policy_stack_rejects_unprotected () =
-  let ctx, _ = context_of_image (Lazy.force mcf_plain) in
+  let ctx = Judged.context_of_image (Lazy.force mcf_plain) in
   match (stack_policy ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ -> ()
   | Engarde.Policy.Compliant -> Alcotest.fail "unprotected binary accepted"
@@ -179,43 +161,16 @@ let handmade_image ~protect_f2 =
     [ Codegen.gen_start ~main:"f1"; mk "f1" true; mk "f2" protect_f2;
       { Asm.fname = Codegen.stack_chk_fail_sym; items = [ Asm.Ins X86.Insn.ud2 ] } ]
   in
-  let asm = Asm.assemble ~base:0x1000 funcs in
-  let symbols =
-    List.map
-      (fun (name, off, size) ->
-        Elf64.Types.{ st_name = name; st_value = 0x1000 + off; st_size = size;
-                      st_info = (stb_global lsl 4) lor stt_func })
-      asm.Asm.functions
-  in
-  Elf64.Writer.build
-    { Elf64.Writer.default_input with
-      Elf64.Writer.entry = 0x1000; text_addr = 0x1000; text = asm.Asm.code; symbols }
+  Judged.image_of_asm (Asm.assemble ~base:0x1000 funcs)
 
 let policy_stack_pinpoints_one_function () =
-  let raw = handmade_image ~protect_f2:false in
-  let elf = Result.get_ok (Elf64.Reader.parse raw) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let perf = Sgx.Perf.create () in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-         ~symbols:elf.Elf64.Reader.symbols)
-  in
-  let ctx = Engarde.Policy.context ~perf buffer symbols in
+  let ctx = Judged.context (handmade_image ~protect_f2:false) in
   (match (stack_policy ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
       Alcotest.(check bool) "blames f2" true (Astring.String.is_infix ~affix:"f2" (why v))
   | Engarde.Policy.Compliant -> Alcotest.fail "missing canary accepted");
   (* And the fully protected variant passes. *)
-  let raw = handmade_image ~protect_f2:true in
-  let elf = Result.get_ok (Elf64.Reader.parse raw) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
-  in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
+  let ctx = Judged.context (handmade_image ~protect_f2:true) in
   match (stack_policy ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v ->
@@ -237,24 +192,13 @@ let policy_stack_quadratic_cost () =
               data_refs = []; protected = true; stack_density = 0.2 })
       @ [ { Asm.fname = Codegen.stack_chk_fail_sym; items = [ Asm.Ins X86.Insn.ud2 ] } ]
     in
-    let asm = Asm.assemble ~base:0x1000 funcs in
-    let symbols =
-      List.map
-        (fun (name, off, size) ->
-          Elf64.Types.{ st_name = name; st_value = 0x1000 + off; st_size = size;
-                        st_info = (stb_global lsl 4) lor stt_func })
-        asm.Asm.functions
-    in
-    let buffer, symhash =
-      Result.get_ok
-        (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:asm.Asm.code ~base:0x1000 ~symbols)
-    in
-    let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symhash in
+    let report = Engarde.Report.create () in
+    let ctx = Judged.context ~report (Judged.image_of_asm (Asm.assemble ~base:0x1000 funcs)) in
     let policy = Engarde.Policy_stack.make ~exempt:Libc.function_names ?mode () in
     (match policy.Engarde.Policy.check ctx with
     | Engarde.Policy.Compliant -> ()
     | Engarde.Policy.Violations _ as v -> Alcotest.failf "rejected: %s" (why v));
-    Sgx.Perf.total_cycles ctx.Engarde.Policy.perf
+    Judged.policy_cycles report
   in
   let one_big = build ~mode:`Pattern 1 4000 in
   let many_small = build ~mode:`Pattern 8 500 in
@@ -274,7 +218,7 @@ let policy_stack_quadratic_cost () =
 (* ------------------------------------------------------------------ *)
 
 let policy_ifcc_accepts_instrumented () =
-  let ctx, _ = context_of_image (Lazy.force otp_ifcc) in
+  let ctx = Judged.context_of_image (Lazy.force otp_ifcc) in
   match (Engarde.Policy_ifcc.make ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v ->
@@ -283,7 +227,7 @@ let policy_ifcc_accepts_instrumented () =
 let policy_ifcc_rejects_raw_indirect () =
   (* The plain build has raw lea+callq* sites without masking. *)
   let img = Linker.link (Workloads.build Codegen.plain Workloads.Otpgen) in
-  let ctx, _ = context_of_image img in
+  let ctx = Judged.context_of_image img in
   match (Engarde.Policy_ifcc.make ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
       Alcotest.(check bool) "mentions masking" true
@@ -293,7 +237,7 @@ let policy_ifcc_rejects_raw_indirect () =
 
 let policy_ifcc_accepts_no_indirect_calls () =
   (* mcf has no indirect calls at all: trivially compliant. *)
-  let ctx, _ = context_of_image (Lazy.force mcf_plain) in
+  let ctx = Judged.context_of_image (Lazy.force mcf_plain) in
   match (Engarde.Policy_ifcc.make ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v -> Alcotest.failf "mcf rejected: %s" (why v)
@@ -317,13 +261,8 @@ let policy_ifcc_rejects_pointer_outside_table () =
   in
   let table = Codegen.gen_jump_table ~targets:[ "victim"; "victim" ] in
   let asm = Asm.assemble ~base:0x1000 [ Codegen.gen_start ~main:"attacker"; site; table; target ] in
-  let symbols =
-    List.map
-      (fun (name, off, size) ->
-        Elf64.Types.{ st_name = name; st_value = 0x1000 + off; st_size = size;
-                      st_info = (stb_global lsl 4) lor stt_func })
-      asm.Asm.functions
-    @ List.filter_map
+  let table_entries =
+    List.filter_map
         (fun k ->
           Option.map
             (fun off ->
@@ -333,11 +272,7 @@ let policy_ifcc_rejects_pointer_outside_table () =
             (Hashtbl.find_opt asm.Asm.labels (Codegen.jump_table_entry_sym k)))
         [ 0; 1 ]
   in
-  let buffer, symhash =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:asm.Asm.code ~base:0x1000 ~symbols)
-  in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symhash in
+  let ctx = Judged.context (Judged.image_of_asm ~symbols:table_entries asm) in
   match (Engarde.Policy_ifcc.make ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
       (* Masked pointer falls back inside the table only if it happens
@@ -349,6 +284,47 @@ let policy_ifcc_rejects_pointer_outside_table () =
 (* ------------------------------------------------------------------ *)
 (* Full provisioning protocol                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* ------------------------------------------------------------------ *)
+(* The judge: header rejections on mutated section flags               *)
+(* ------------------------------------------------------------------ *)
+
+(* [raw] with section [name]'s sh_flags rewritten by [f]: a header-only
+   mutation, every section's bytes left as they were. *)
+let with_section_flags raw name f =
+  let u16 o = String.get_uint16_le raw o in
+  let u64 o = Int64.to_int (String.get_int64_le raw o) in
+  let shoff = u64 0x28 and shentsize = u16 0x3a and shnum = u16 0x3c in
+  let strtab = u64 (shoff + (u16 0x3e * shentsize) + 0x18) in
+  let name_at o = String.sub raw o (String.index_from raw o '\000' - o) in
+  let b = Bytes.of_string raw in
+  for i = 0 to shnum - 1 do
+    let sh = shoff + (i * shentsize) in
+    if name_at (strtab + Int32.to_int (String.get_int32_le raw sh)) = name then
+      Bytes.set_int64_le b (sh + 8) (Int64.of_int (f (u64 (sh + 8))))
+  done;
+  Bytes.to_string b
+
+let judge_rejects_text_flag_mutations () =
+  let raw = (Lazy.force mcf_plain).Linker.elf in
+  let expect what want raw =
+    match
+      Engarde.Provision.judge (Engarde.Report.create ())
+        ~policies:[ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ]
+        raw
+    with
+    | Error (Engarde.Provision.Bad_elf why) -> Alcotest.(check string) what want why
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error r -> Alcotest.failf "%s: %s" what (Engarde.Provision.rejection_to_string r)
+  in
+  expect ".text not executable" "no executable section"
+    (with_section_flags raw ".text" (fun f -> f land lnot Elf64.Types.shf_execinstr));
+  (* .data marked executable the way .text is (alloc + exec, no longer
+     writable): its pages stay apart from the data pages, so the second
+     text section is what the judge refuses. *)
+  expect ".data executable" "multiple text sections unsupported"
+    (with_section_flags raw ".data" (fun _ ->
+         Elf64.Types.shf_alloc lor Elf64.Types.shf_execinstr))
 
 let provision ?tamper ?(policies = []) ?(cfg = fast_config) payload =
   Engarde.Provision.run ?tamper ~policies cfg ~payload
@@ -547,27 +523,10 @@ let infected_image () =
       items = List.map (fun i -> Asm.Ins i) beacon_insns @ [ Asm.Ins X86.Insn.ret ] }
   in
   let funcs = [ Codegen.gen_start ~main:"worker"; clean; payload ] in
-  let asm = Asm.assemble ~base:0x1000 funcs in
-  let symbols =
-    List.map
-      (fun (name, off, size) ->
-        Elf64.Types.{ st_name = name; st_value = 0x1000 + off; st_size = size;
-                      st_info = (stb_global lsl 4) lor stt_func })
-      asm.Asm.functions
-  in
-  Elf64.Writer.build
-    { Elf64.Writer.default_input with
-      Elf64.Writer.entry = 0x1000; text_addr = 0x1000; text = asm.Asm.code; symbols }
+  Judged.image_of_asm (Asm.assemble ~base:0x1000 funcs)
 
 let malware_policy_flags_beacon () =
-  let elf = Result.get_ok (Elf64.Reader.parse (infected_image ())) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
-  in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
+  let ctx = Judged.context (infected_image ()) in
   match (List.hd (malware_policy ())).Engarde.Policy.check ctx with
   | Engarde.Policy.Violations _ as v ->
       Alcotest.(check bool) "names the signature" true
@@ -575,7 +534,7 @@ let malware_policy_flags_beacon () =
   | Engarde.Policy.Compliant -> Alcotest.fail "beacon not detected"
 
 let malware_policy_passes_clean () =
-  let ctx, _ = context_of_image (Lazy.force mcf_plain) in
+  let ctx = Judged.context_of_image (Lazy.force mcf_plain) in
   match (List.hd (malware_policy ())).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v -> Alcotest.failf "false positive: %s" (why v)
@@ -679,7 +638,7 @@ let findings_report_every_site () =
      deterministically. *)
   let img = Linker.link (Workloads.build Codegen.plain Workloads.Otpgen) in
   let run () =
-    let ctx, _ = context_of_image img in
+    let ctx = Judged.context_of_image img in
     Engarde.Policy.run_all ctx [ stack_policy (); Engarde.Policy_ifcc.make () ]
   in
   let results = run () in
@@ -713,17 +672,11 @@ let findings_pinpoint_address () =
      address, not merely by name in prose. *)
   let raw = handmade_image ~protect_f2:false in
   let elf = Result.get_ok (Elf64.Reader.parse raw) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  let buffer, symbols =
-    Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
-  in
   let f2_addr =
     (List.find (fun s -> s.Elf64.Types.st_name = "f2") elf.Elf64.Reader.symbols)
       .Elf64.Types.st_value
   in
-  let ctx = Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols in
+  let ctx = Judged.context raw in
   match (stack_policy ()).Engarde.Policy.check ctx with
   | Engarde.Policy.Compliant -> Alcotest.fail "missing canary accepted"
   | Engarde.Policy.Violations [ f ] ->
@@ -762,6 +715,11 @@ let () =
           Alcotest.test_case "rejects raw indirect" `Quick policy_ifcc_rejects_raw_indirect;
           Alcotest.test_case "no indirect calls ok" `Quick policy_ifcc_accepts_no_indirect_calls;
           Alcotest.test_case "pointer outside table" `Quick policy_ifcc_rejects_pointer_outside_table;
+        ] );
+      ( "judge",
+        [
+          Alcotest.test_case "rejects text-flag mutations" `Quick
+            judge_rejects_text_flag_mutations;
         ] );
       ( "provisioning",
         [

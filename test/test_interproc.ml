@@ -5,21 +5,7 @@
 
 open Toolchain
 
-let context_of_image (img : Linker.image) =
-  let perf = Sgx.Perf.create () in
-  match Elf64.Reader.parse img.Linker.elf with
-  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
-  | Ok elf -> (
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      match
-        Engarde.Disasm.run perf ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-          ~symbols:elf.Elf64.Reader.symbols
-      with
-      | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v)
-      | Ok (buffer, symbols) ->
-          Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols)
-
-let adversarial_ctx adv = context_of_image (Linker.link_adversarial adv)
+let adversarial_ctx adv = Judged.context_of_image (Linker.link_adversarial adv)
 let why = Engarde.Policy.verdict_to_string
 
 let find_insns (ctx : Engarde.Policy.context) pred =
@@ -136,7 +122,7 @@ let sanitize_clean_workloads () =
   List.iter
     (fun bench ->
       let ctx =
-        context_of_image (Linker.link (Workloads.build Codegen.plain bench))
+        Judged.context_of_image (Linker.link (Workloads.build Codegen.plain bench))
       in
       match (Engarde.Policy_sanitize.make ()).Engarde.Policy.check ctx with
       | Engarde.Policy.Compliant -> ()

@@ -10,25 +10,6 @@ open Toolchain
 let db = Libc.hash_db Libc.V1_0_5
 let exempt = Libc.function_names
 
-let context_of_image (img : Linker.image) =
-  let analysis_perf = Sgx.Perf.create () in
-  match Elf64.Reader.parse img.Linker.elf with
-  | Error e -> Alcotest.failf "parse: %s" (Elf64.Reader.error_to_string e)
-  | Ok elf -> (
-      let text = List.hd (Elf64.Reader.text_sections elf) in
-      match
-        Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-          ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-      with
-      | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v)
-      | Ok (buffer, symbols) ->
-          let perf = Sgx.Perf.create () in
-          let cfg_perf = Sgx.Perf.create () in
-          ( Engarde.Policy.context ~analysis_perf ~cfg_perf ~perf buffer symbols,
-            perf,
-            cfg_perf,
-            analysis_perf ))
-
 let native_policies () =
   [
     Engarde.Policy_libc.make ~db ();
@@ -59,8 +40,9 @@ let show_verdict (name, v) = name ^ ": " ^ Engarde.Policy.verdict_to_string v
    counter. *)
 let check_differential what img =
   let run policies =
-    let ctx, perf, cfg, an = context_of_image img in
-    (Engarde.Policy.run_all ctx policies, perf, cfg, an)
+    let report = Engarde.Report.create () in
+    let ctx = Judged.context_of_image ~report img in
+    (Engarde.Policy.run_all ctx policies, report)
   in
   let native = run (native_policies () @ marker_policies ()) in
   let vm_perf = Sgx.Perf.create () in
@@ -70,7 +52,7 @@ let check_differential what img =
     | Ok ps -> run ps
     | Error e -> Alcotest.failf "%s: %s" what e
   in
-  let same side (res_n, perf_n, cfg_n, an_n) (res_s, perf_s, cfg_s, an_s) =
+  let same side (res_n, rep_n) (res_s, rep_s) =
     if res_n <> res_s then begin
       let dump res = String.concat "\n  " (List.map show_verdict res) in
       Alcotest.failf "%s: verdicts differ\nnative:\n  %s\n%s:\n  %s" what (dump res_n) side
@@ -81,9 +63,12 @@ let check_differential what img =
       Alcotest.(check (pair int int)) (Printf.sprintf "%s: %s %s cycles" what side counter)
         (pair a) (pair b)
     in
-    check "policy" perf_n perf_s;
-    check "cfg" cfg_n cfg_s;
-    check "analysis" an_n an_s
+    Engarde.Report.(
+      check "policy" rep_n.policy rep_s.policy;
+      check "cfg" rep_n.cfg rep_s.cfg;
+      check "callgraph" rep_n.callgraph rep_s.callgraph;
+      check "summary" rep_n.summary rep_s.summary;
+      check "analysis" rep_n.analysis rep_s.analysis)
   in
   same "vm" native vm;
   same "service" native service;
@@ -253,8 +238,7 @@ let builtin_blobs =
 
 let tiny_ctx =
   lazy
-    (let ctx, _, _, _ = context_of_image (Linker.link_adversarial Workloads.Jump_past_mask) in
-     ctx)
+    (Judged.context_of_image (Linker.link_adversarial Workloads.Jump_past_mask))
 
 (* A mutated blob must either be rejected by the decoder or, if the
    mutation lands in a spot that keeps the program well-formed, run to
@@ -281,8 +265,8 @@ let fuzz_decoder =
 
 (* Mutating the inspected binary itself must never split the engines:
    whatever a byte flip does to the ELF, native modules and DSL
-   programs still agree bit for bit (or the image fails to parse for
-   both, which is the same front door). *)
+   programs still agree bit for bit (or the judge rejects the image
+   before any policy runs, identically for both: the same front door). *)
 let fuzz_differential =
   QCheck.Test.make ~name:"mutated binaries: DSL still equals native" ~count:60
     QCheck.(triple (int_bound 1) small_nat small_nat)
@@ -290,39 +274,24 @@ let fuzz_differential =
       let adv = List.nth Workloads.adversarial_all which in
       let img = Linker.link_adversarial adv in
       let elf = flip_byte img.Linker.elf pos delta in
-      match Elf64.Reader.parse elf with
-      | Error _ -> true
-      | Ok parsed -> (
-          match Elf64.Reader.text_sections parsed with
-          | [] -> true
-          | text :: _ -> (
-              let mk () =
-                match
-                  Engarde.Disasm.run (Sgx.Perf.create ())
-                    ~code:text.Elf64.Reader.data ~base:text.Elf64.Reader.addr
-                    ~symbols:parsed.Elf64.Reader.symbols
-                with
-                | Error _ -> None
-                | Ok (buffer, symbols) ->
-                    let perf = Sgx.Perf.create () in
-                    let cfg_perf = Sgx.Perf.create () in
-                    Some
-                      ( Engarde.Policy.context ~analysis_perf:(Sgx.Perf.create ())
-                          ~cfg_perf ~perf buffer symbols,
-                        perf,
-                        cfg_perf )
-              in
-              match (mk (), mk ()) with
-              | None, None -> true
-              | Some (ctx_n, perf_n, cfg_n), Some (ctx_v, perf_v, cfg_v) ->
-                  let res_n = Engarde.Policy.run_all ctx_n (native_policies ()) in
-                  let res_v =
-                    Engarde.Policy.run_all ctx_v (vm_policies (Sgx.Perf.create ()))
-                  in
-                  res_n = res_v
-                  && Sgx.Perf.native_cycles perf_n = Sgx.Perf.native_cycles perf_v
-                  && Sgx.Perf.native_cycles cfg_n = Sgx.Perf.native_cycles cfg_v
-              | _ -> false)))
+      let judge policies =
+        let report = Engarde.Report.create () in
+        match Engarde.Provision.judge report ~policies:[] elf with
+        | Error r -> Error r
+        | Ok j ->
+            let res = Engarde.Policy.run_all j.Engarde.Provision.ctx policies in
+            Ok
+              ( res,
+                List.map Sgx.Perf.native_cycles
+                  Engarde.Report.[ report.policy; report.cfg; report.callgraph; report.summary ]
+              )
+      in
+      match
+        (judge (native_policies ()), judge (vm_policies (Sgx.Perf.create ())))
+      with
+      | Error r, Error r' -> r = r'
+      | Ok n, Ok v -> n = v
+      | _ -> false)
 
 let tests =
   [

@@ -41,16 +41,14 @@ let costmodel_consistency () =
 let disasm_bytes_between () =
   let img = Toolchain.Linker.link (Toolchain.Workloads.build Toolchain.Codegen.plain
                                      Toolchain.Workloads.Mcf) in
-  let elf = Result.get_ok (Elf64.Reader.parse img.Toolchain.Linker.elf) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
   let buffer, _ =
     Result.get_ok
-      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-         ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols)
+      (Engarde.Disasm.run (Sgx.Perf.create ()) ~code:img.Toolchain.Linker.text
+         ~base:img.Toolchain.Linker.text_addr ~symbols:img.Toolchain.Linker.symbols)
   in
   let base = buffer.Engarde.Disasm.base in
   Alcotest.(check string) "bytes_between = raw slice"
-    (String.sub text.Elf64.Reader.data 16 32)
+    (String.sub img.Toolchain.Linker.text 16 32)
     (Engarde.Disasm.bytes_between buffer ~lo:(base + 16) ~hi:(base + 48));
   Alcotest.check_raises "out of range" (Invalid_argument "Disasm.bytes_between") (fun () ->
       ignore (Engarde.Disasm.bytes_between buffer ~lo:(base - 1) ~hi:base));

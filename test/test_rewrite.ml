@@ -10,16 +10,6 @@ let db = lazy (Libc.hash_db Libc.V1_0_5)
 
 let parse raw = Result.get_ok (Elf64.Reader.parse raw)
 
-let ctx_of raw =
-  let elf = parse raw in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
-  match
-    Engarde.Disasm.run (Sgx.Perf.create ()) ~code:text.Elf64.Reader.data
-      ~base:text.Elf64.Reader.addr ~symbols:elf.Elf64.Reader.symbols
-  with
-  | Ok (buffer, symbols) -> Engarde.Policy.context ~perf:(Sgx.Perf.create ()) buffer symbols
-  | Error v -> Alcotest.failf "disasm: %s" (X86.Nacl.violation_to_string v)
-
 let why = Engarde.Policy.verdict_to_string
 
 let stack_policy () = Engarde.Policy_stack.make ~exempt:Libc.function_names ()
@@ -37,18 +27,18 @@ let rewritten_mcf =
 
 let rejected_before_accepted_after () =
   (* Before: rejected. *)
-  (match (stack_policy ()).Engarde.Policy.check (ctx_of (Lazy.force plain_mcf).Linker.elf) with
+  (match (stack_policy ()).Engarde.Policy.check (Judged.context (Lazy.force plain_mcf).Linker.elf) with
   | Engarde.Policy.Violations _ -> ()
   | Engarde.Policy.Compliant -> Alcotest.fail "plain binary unexpectedly compliant");
   (* After: accepted. *)
-  match (stack_policy ()).Engarde.Policy.check (ctx_of (Lazy.force rewritten_mcf)) with
+  match (stack_policy ()).Engarde.Policy.check (Judged.context (Lazy.force rewritten_mcf)) with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v ->
       Alcotest.failf "rewritten binary rejected: %s" (why v)
 
 let rewritten_still_nacl_valid () =
   let elf = parse (Lazy.force rewritten_mcf) in
-  let text = List.hd (Elf64.Reader.text_sections elf) in
+  let text = Judged.text_section elf in
   let roots =
     List.filter_map
       (fun (s : Elf64.Types.symbol) ->
@@ -65,7 +55,7 @@ let rewritten_keeps_libc_hashes () =
      policy still passes on the rewritten binary. *)
   match
     (Engarde.Policy_libc.make ~db:(Lazy.force db) ()).Engarde.Policy.check
-      (ctx_of (Lazy.force rewritten_mcf))
+      (Judged.context (Lazy.force rewritten_mcf))
   with
   | Engarde.Policy.Compliant -> ()
   | Engarde.Policy.Violations _ as v -> Alcotest.failf "libc policy broke: %s" (why v)
@@ -105,7 +95,7 @@ let rewrite_idempotent_on_protected () =
   match Engarde.Rewrite.add_stack_protection ~exempt:Libc.function_names (parse img.Linker.elf) with
   | Error e -> Alcotest.failf "rewrite failed: %s" (Engarde.Rewrite.error_to_string e)
   | Ok raw -> (
-      match (stack_policy ()).Engarde.Policy.check (ctx_of raw) with
+      match (stack_policy ()).Engarde.Policy.check (Judged.context raw) with
       | Engarde.Policy.Compliant -> ()
       | Engarde.Policy.Violations _ as v -> Alcotest.failf "rejected: %s" (why v))
 

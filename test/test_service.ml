@@ -237,6 +237,37 @@ let batch_with cfg jobs =
     jobs;
   (Service.Scheduler.run_until_idle t, t)
 
+(* The service's phase split is the report's: a job's batch totals
+   equal [Report.row] of the same provisioning run, CFG recovery
+   included in the policy phase. *)
+let phase_totals_match_report_row () =
+  let cfg = service_config ~workers:1 () in
+  let names = [ "stack" ] in
+  let payload = Lazy.force mcf_stack in
+  let completions, t = batch_with cfg [ job ~policies:names payload ] in
+  (match completions with
+  | [ { Service.Scheduler.verdict = Ok v; _ } ] ->
+      Alcotest.(check bool) "accepted" true v.Service.Cache.accepted
+  | _ -> Alcotest.fail "expected one completed job");
+  let programs, provision = Service.Scheduler.negotiated t names in
+  let policies =
+    Result.get_ok
+      (Service.Scheduler.policies_of_names ~db:(Libc.hash_db cfg.Service.Scheduler.libc_db)
+         names)
+  in
+  let o =
+    Engarde.Provision.run ~policies ~programs ~channel:cfg.Service.Scheduler.channel provision
+      ~payload
+  in
+  let row = Engarde.Report.row ~benchmark:"mcf" o.Engarde.Provision.report in
+  let p = Service.Metrics.phase_totals (Service.Scheduler.metrics t) in
+  Alcotest.(check bool) "stack recovers CFGs" true (row.Engarde.Report.cfg_cycles > 0);
+  Alcotest.(check int) "disassembly" row.Engarde.Report.disassembly_cycles
+    p.Service.Metrics.disassembly;
+  Alcotest.(check int) "policy (incl. CFG recovery)" row.Engarde.Report.policy_cycles
+    p.Service.Metrics.policy;
+  Alcotest.(check int) "loading" row.Engarde.Report.loading_cycles p.Service.Metrics.loading
+
 let duplicate_heavy_amortization () =
   let p = Lazy.force mcf_plain in
   let jobs = List.init 6 (fun i -> job ~client:(Printf.sprintf "tenant-%d" i) p) in
@@ -690,6 +721,8 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "admission control" `Quick admission_control;
+          Alcotest.test_case "phase totals equal the report row" `Quick
+            phase_totals_match_report_row;
           Alcotest.test_case "duplicate-heavy cache amortization" `Quick
             duplicate_heavy_amortization;
           Alcotest.test_case "determinism across worker counts" `Quick batch_determinism;

@@ -251,6 +251,29 @@ let zero_rtt_tampered_ticket () =
       let blob = String.mapi (fun i c -> if i = 20 then Char.chr (Char.code c lxor 1) else c) blob in
       (cfg, 0, (blob, secret)))
 
+(* A 0-RTT reply is read by the full handshake's rule plus the
+   confirmation: once the Resume_accept, the negotiation echo and the
+   ticket are set aside, exactly one verdict may remain. A ticket the
+   network rewrites into a second verdict voids the reply. *)
+let zero_rtt_second_verdict () =
+  let payload = Lazy.force mcf_payload in
+  let cfg = small_config "stream-0rtt-reply" in
+  let policies () = [ Engarde.Policy_libc.make ~db:(Lazy.force libc_db) () ] in
+  let cold = Engarde.Provision.run ~channel:`Streaming ~policies:(policies ()) cfg ~payload in
+  accepted_outcome "cold" cold;
+  let tamper = function
+    | Channel.Wire.Ticket _ -> Channel.Wire.Verdict { accepted = true; detail = "forged" }
+    | m -> m
+  in
+  let o =
+    Engarde.Provision.run ~tamper ~channel:`Streaming ~policies:(policies ())
+      ~resume:(Option.get cold.Engarde.Provision.ticket) cfg ~payload
+  in
+  Alcotest.(check bool) "rode the ticket" true (stats "tampered" o).Engarde.Provision.resumed;
+  Alcotest.(check bool) "enclave accepted" true (Result.is_ok o.Engarde.Provision.result);
+  Alcotest.(check (option (pair bool string))) "client honours no verdict" None
+    o.Engarde.Provision.client_verdict
+
 (* ------------------------------------------------------------------ *)
 (* Ticket sealing boundary                                             *)
 (* ------------------------------------------------------------------ *)
@@ -389,6 +412,7 @@ let () =
           Alcotest.test_case "stale epoch falls back" `Slow zero_rtt_stale_epoch;
           Alcotest.test_case "measurement mismatch falls back" `Slow zero_rtt_measurement_mismatch;
           Alcotest.test_case "tampered ticket falls back" `Slow zero_rtt_tampered_ticket;
+          Alcotest.test_case "second verdict voids the reply" `Slow zero_rtt_second_verdict;
         ] );
       ( "ticket",
         [

@@ -234,7 +234,7 @@ let linked_image_parses_and_validates () =
   | Error e -> Alcotest.failf "reader: %s" (Elf64.Reader.error_to_string e)
   | Ok elf ->
       Alcotest.(check int) "entry" img.Linker.entry elf.Elf64.Reader.entry;
-      let text = List.hd (Elf64.Reader.text_sections elf) in
+      let text = Judged.text_section elf in
       Alcotest.(check string) "text bytes" img.Linker.text text.Elf64.Reader.data;
       (* The whole text must satisfy the NaCl constraints with function
          symbols as roots. *)
